@@ -9,8 +9,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import G2, G5, Morphism, PowerFreeSpec, apply_morphism, generate_powerfree_ternary
-from .repetitions import Repetition, find_squares
+from .words import G2, G5, Morphism, apply_morphism, generate_powerfree_ternary
+from .repetitions import PowerFreeSpec, Repetition, find_squares
 from .treecert import BranchCheckSpec, build_level_tree, certify_morphic_tree_coloring
 from .graphs import (
     Coloring,
@@ -21,6 +21,7 @@ from .graphs import (
     path_graph,
     plus4_gadget,
     stacked_triangulation,
+    u_witness,
     verify_coloring,
 )
 from .search import SearchBudget, extend_word_search, pi_k_exact, _rooted_trees
@@ -192,7 +193,8 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Construction invariants: stacked triangulations (counts, Euler, 3-tree),
-    the outerplanar family counts, the gadget closed forms, and fan witnesses."""
+    the outerplanar family counts, the gadget closed forms, fan witnesses, and
+    copies of U_t next to a vertex of G_0 (t = 0, 1, 2)."""
     t0 = time.monotonic()
     ok = True
     detail = []
@@ -237,11 +239,24 @@ def criterion_8() -> CriterionResult:
                 if not good:
                     ok = False
                     detail.append(f"fan i={i} t={t} edge=({x},{y})")
+    base = stacked_triangulation(0)
+    for t in range(3):
+        big = stacked_triangulation(t + 2)
+        mapping = u_witness(0, 0, t).mapping or {}
+        hosts = set(mapping.values())
+        good = (
+            len(hosts) == 2 ** t + 1
+            and all(h >= base.n and big.has_edge(h, 0) for h in hosts)
+            and all(big.has_edge(mapping[a], mapping[b]) for a, b in outerplanar_U(t).edges())
+        )
+        if not good:
+            ok = False
+            detail.append(f"U_{t} witness at vertex 0 of G_0")
     return CriterionResult(
         8,
         "construction invariants",
         ok,
-        "; ".join(detail) if detail else "G_i, U_i, gadget, fan witnesses",
+        "; ".join(detail) if detail else "G_i, U_i, gadget, fan and U_t witnesses",
         time.monotonic() - t0,
     )
 

@@ -19,12 +19,11 @@ from .words import (
     G2,
     NAMED_MORPHISMS,
     Morphism,
-    PowerFreeSpec,
     apply_morphism,
     check_word,
     generate_powerfree_ternary,
 )
-from .repetitions import is_d_directed, is_power_free
+from .repetitions import PowerFreeSpec, is_d_directed, is_power_free
 from .treecert import BranchCheckSpec, ConfigurationError, certify_morphic_tree_coloring
 from .graphs import (
     Coloring,

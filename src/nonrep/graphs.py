@@ -1,6 +1,6 @@
-"""Graph data model, the planar/outerplanar family generators, simple-path
-enumeration, and the brute-force non-repetitive coloring verifier that serves
-as the global oracle for the rest of the toolkit.
+"""Graph data model, the planar/outerplanar family generators, and the
+brute-force non-repetitive coloring verifier that serves as the global oracle
+for the rest of the toolkit.
 
 Planarity of the generated families is guaranteed by construction (face-tracked
 stacking, recursive gluing); no general planarity test is included.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .repetitions import Repetition
+from .repetitions import Repetition, _tail_hit
 
 
 class SearchExhausted(Exception):
@@ -344,39 +344,12 @@ def u_witness(i: int, x: int, t: int, node_budget: int = 2_000_000) -> WitnessSe
     res = rec(0)
     if res:
         for u, v in tmpl_edges:
-            assert big.has_edge(mapping[u], mapping[v])
+            if not big.has_edge(mapping[u], mapping[v]):
+                raise RuntimeError(
+                    f"witness mapping sends template edge ({u}, {v}) to a non-edge"
+                )
         return WitnessSearch(dict(mapping), False, nodes)
     return WitnessSearch(None, res is None, nodes)
-
-
-def enumerate_paths(g: Graph, max_vertices: int, max_paths: int | None = None):
-    """Yield every simple path with 2..max_vertices vertices exactly once up to
-    reversal, oriented with the lexicographically smaller endpoint first.
-    Raises SearchExhausted if a path-count budget is given and hit."""
-    if max_vertices < 2:
-        raise ValueError("need max_vertices >= 2")
-    count = 0
-    path = []
-    on_path = [False] * g.n
-
-    def rec(v):
-        nonlocal count
-        path.append(v)
-        on_path[v] = True
-        if len(path) >= 2 and path[0] < path[-1]:
-            count += 1
-            if max_paths is not None and count > max_paths:
-                raise SearchExhausted(f"path budget {max_paths} exceeded")
-            yield tuple(path)
-        if len(path) < max_vertices:
-            for u in sorted(g.adj[v]):
-                if not on_path[u]:
-                    yield from rec(u)
-        on_path[v] = False
-        path.pop()
-
-    for start in range(g.n):
-        yield from rec(start)
 
 
 def verify_coloring(
@@ -391,9 +364,8 @@ def verify_coloring(
     with the (smallest-period) repetition ending at its last vertex.
 
     Exhaustive whenever max_path >= g.n.  Paths are explored in lexicographic
-    order; a per-period table of match-run lengths at the path tail makes each
-    extension O(max_path) instead of a fresh quadratic scan, and a square of
-    period p ends at the tail exactly when the run at distance p reaches p.
+    order, and each extension asks only whether a square ends at the new tail:
+    one of period p does exactly when the match run at period p reaches p.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -403,11 +375,11 @@ def verify_coloring(
         raise ValueError("coloring size mismatch")
     colors = coloring.colors
     pmax = max_path // 2
+    need = range(pmax + 1)  # a square of period p needs a run of p matches
     adjs = [sorted(a) for a in g.adj]
     visited_paths = 0
     path: list[int] = []
     seq: list[int] = []
-    run_stack: list[list[int]] = []  # run_stack[m][p] = matches at distance p ending at m
     on_path = [False] * g.n
 
     def rec(v):
@@ -416,22 +388,14 @@ def verify_coloring(
         seq.append(colors[v])
         on_path[v] = True
         m = len(seq) - 1
-        prev = run_stack[-1] if run_stack else None
-        runs = [0] * (pmax + 1)
-        hit = None
-        for p in range(k, min(pmax, m) + 1):
-            if seq[m] == seq[m - p]:
-                runs[p] = prev[p] + 1 if prev is not None else 1
-                if runs[p] >= p and hit is None:
-                    hit = Repetition(m - 2 * p + 1, 2 * p, p)
-        run_stack.append(runs)
         try:
-            if len(path) >= 2:
+            if m:
                 visited_paths += 1
                 if max_paths is not None and visited_paths > max_paths:
                     raise SearchExhausted(f"path budget {max_paths} exceeded")
-                if hit is not None:
-                    return tuple(path), hit
+                p = _tail_hit(seq, m, k, min(pmax, (m + 1) // 2), need)
+                if p is not None:
+                    return tuple(path), Repetition(m - 2 * p + 1, 2 * p, p)
             if len(path) < max_path:
                 for u in adjs[v]:
                     if not on_path[u]:
@@ -443,7 +407,6 @@ def verify_coloring(
             on_path[v] = False
             path.pop()
             seq.pop()
-            run_stack.pop()
 
     for start in range(g.n):
         res = rec(start)

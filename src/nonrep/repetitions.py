@@ -1,17 +1,19 @@
-"""Detection and quantification of repetitions in words: squares with bounded
-period, maximal exponents, freeness checks, and directedness checks.
+"""Detection of repetitions in words: squares with bounded period, freeness
+checks against an exponent bound, and directedness checks.
 
-The reference algorithms are deliberately simple (quadratic scans with early
-exit); the exhaustive oracle tests pin their behaviour, and any optimization
-elsewhere must agree with them.
+Every square and exponent test in the package reduces to one quantity, the
+match run: the run at period p ending at index m is the number of consecutive
+j <= m with seq[j] == seq[j - p].  A square of period p ends at m exactly when
+that run reaches p, and a repetition of period p and length p + r ends at m
+exactly when it reaches r.  `_tail_hit` asks that question at one index (the
+tail of a word grown one symbol at a time); `_period_runs` answers it at every
+index of a whole word.  The oracle tests pin both against slice comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .words import PowerFreeSpec, factors
 
 
 @dataclass(frozen=True)
@@ -36,30 +38,66 @@ class Repetition:
 
 
 @dataclass(frozen=True)
-class DirectednessSpec:
-    """Window length for the directedness check."""
+class PowerFreeSpec:
+    """Freeness parameters: forbid repetitions of exponent beyond exponent_bound
+    with period at least min_period.
 
-    d: int
+    strict=True forbids exponent strictly greater than the bound (the "beta-plus"
+    reading); strict=False also forbids exponent equal to the bound.
+    """
+
+    exponent_bound: Fraction
+    min_period: int = 1
+    strict: bool = True
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("window length must be >= 1")
+        if self.exponent_bound < 1:
+            raise ValueError("exponent bound must be >= 1")
+        if self.min_period < 1:
+            raise ValueError("min period must be >= 1")
+
+    def violation_length(self, period: int) -> int:
+        """The least length at which a factor with this period breaks the
+        exponent bound (min_period aside)."""
+        num, den = self.exponent_bound.numerator, self.exponent_bound.denominator
+        if self.strict:
+            return (num * period) // den + 1
+        return -(-(num * period) // den)
+
+    def violates(self, length: int, period: int) -> bool:
+        """Does a factor of this length with this period break the spec?"""
+        return period >= self.min_period and length >= self.violation_length(period)
 
 
-def smallest_period(w: str) -> int:
-    """Smallest p with w[i] == w[i+p] for all valid i (failure-function method)."""
-    n = len(w)
-    if n == 0:
-        raise ValueError("empty word has no period")
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and w[i] != w[k]:
-            k = fail[k - 1]
-        if w[i] == w[k]:
-            k += 1
-        fail[i] = k
-    return n - fail[n - 1]
+def _tail_hit(seq, m: int, lo: int, hi: int, need) -> int | None:
+    """The least period p in [lo, hi] whose match run ending at index m reaches
+    need[p], or None.
+
+    Stateless: each run is counted backward from m, and only up to need[p].
+    A run at period p ending at m has at most m - p + 1 matches, so callers
+    keep 1 <= lo, 1 <= need[p] and p + need[p] <= m + 1 for every p in range.
+    """
+    x = seq[m]
+    for p in range(lo, hi + 1):
+        if seq[m - p] == x:
+            j, stop = m - 1, m - need[p]
+            while j > stop and seq[j] == seq[j - p]:
+                j -= 1
+            if j == stop:
+                return p
+    return None
+
+
+def _period_runs(w, p: int) -> list[int]:
+    """runs[j] = the match run at period p ending at index j, for every index
+    of w (0 at the first p indices)."""
+    runs = [0] * min(p, len(w))
+    append = runs.append
+    run = 0
+    for a, b in zip(w[p:], w):
+        run = run + 1 if a == b else 0
+        append(run)
+    return runs
 
 
 def find_squares(w: str, min_period: int, max_period: int) -> list[Repetition]:
@@ -68,50 +106,14 @@ def find_squares(w: str, min_period: int, max_period: int) -> list[Repetition]:
     if not 1 <= min_period <= max_period:
         raise ValueError("need 1 <= min_period <= max_period")
     n = len(w)
-    out = []
-    for start in range(n):
-        top = min(max_period, (n - start) // 2)
-        for p in range(min_period, top + 1):
-            if w[start:start + p] == w[start + p:start + 2 * p]:
-                out.append(Repetition(start, 2 * p, p))
-    return out
-
-
-def _run_length(w: str, start: int, p: int) -> int:
-    """Length of the longest factor starting at `start` with period p."""
-    n = len(w)
-    i = start + p
-    while i < n and w[i] == w[i - p]:
-        i += 1
-    return i - start
-
-
-def max_exponent(w: str, min_period: int) -> Fraction:
-    """Maximum of length/smallest-period over factors whose smallest period is
-    at least min_period; 0 if no factor qualifies."""
-    if min_period < 1:
-        raise ValueError("min_period must be >= 1")
-    n = len(w)
-    best = Fraction(0)
-    for start in range(n):
-        # incremental failure function over w[start:], giving the smallest
-        # period of every factor starting at `start`
-        fail = [0] * (n - start)
-        k = 0
-        sub = w[start:]
-        for i in range(len(sub)):
-            if i:
-                while k and sub[i] != sub[k]:
-                    k = fail[k - 1]
-                if sub[i] == sub[k]:
-                    k += 1
-                fail[i] = k
-            sp = (i + 1) - fail[i]
-            if sp >= min_period:
-                e = Fraction(i + 1, sp)
-                if e > best:
-                    best = e
-    return best
+    hits = []
+    for p in range(min_period, min(max_period, n // 2) + 1):
+        runs = _period_runs(w, p)
+        # a square of period p ends at e when the run there reaches p
+        if max(runs) >= p:
+            hits += [(e - 2 * p + 1, p) for e, r in enumerate(runs) if r >= p]
+    hits.sort()
+    return [Repetition(start, 2 * p, p) for start, p in hits]
 
 
 def is_power_free(w: str, spec: PowerFreeSpec) -> Repetition | None:
@@ -119,21 +121,34 @@ def is_power_free(w: str, spec: PowerFreeSpec) -> Repetition | None:
     repetition with smallest start, then smallest period, reported at its
     maximal length (the full periodic run)."""
     n = len(w)
-    num = spec.exponent_bound.numerator
-    den = spec.exponent_bound.denominator
-    for start in range(n):
-        for p in range(spec.min_period, n - start):
-            if w[start + p] != w[start]:
-                continue
-            run = _run_length(w, start, p)
-            # smallest violating length for this period
-            if spec.strict:
-                need = (num * p) // den + 1
-            else:
-                need = -(-(num * p) // den)  # ceil
-            if need > p and run >= need:
-                return Repetition(start, run, p)
-    return None
+    best = None  # (start, period, runs)
+    for p in range(spec.min_period, n):
+        length = spec.violation_length(p)
+        if length > n:
+            break
+        need = length - p
+        if need < 1:
+            continue
+        # once a violation starts at s, only starts before s can beat it
+        end = n if best is None else best[0] + length - 1
+        runs = _period_runs(w[:end], p)
+        if need in runs:
+            # runs climb one match at a time, so the first index where the
+            # run equals need is the first where it reaches need
+            best = (runs.index(need) - length + 1, p, runs)
+            if best[0] == 0:
+                break
+    if best is None:
+        return None
+    start, p, runs = best
+    if len(runs) < n:
+        runs = _period_runs(w, p)
+    # the periodic run ends where the match run first drops back to 0
+    try:
+        end = runs.index(0, start + spec.violation_length(p))
+    except ValueError:
+        end = n
+    return Repetition(start, end - start, p)
 
 
 def is_d_directed(w: str, d: int) -> tuple[str, str] | None:
@@ -142,9 +157,7 @@ def is_d_directed(w: str, d: int) -> tuple[str, str] | None:
     pair.  A palindromic factor offends by definition."""
     if d < 1:
         raise ValueError("window length must be >= 1")
-    if len(w) < d:
-        return None
-    fs = factors(w, d)
+    fs = {w[i:i + d] for i in range(len(w) - d + 1)}
     for f in sorted(fs):
         if f[::-1] in fs:
             return f, f[::-1]

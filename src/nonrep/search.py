@@ -8,6 +8,7 @@ import time
 from dataclasses import dataclass
 
 from .graphs import Graph, Coloring, path_graph, verify_coloring
+from .repetitions import _tail_hit
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,10 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
         if res is not False:
             if g.n >= 2:
                 check = verify_coloring(g, res, k, g.n)
-                assert check is None, f"witness fails verification: {check}"
+                if check is not None:
+                    raise RuntimeError(
+                        f"pi_k search returned a witness coloring that the verifier rejects: {check}"
+                    )
             return PiResult(ncolors, ncolors, res, False)
         lower = ncolors + 1
     # palette exhausted: the lower bound is proven, not a budget timeout
@@ -152,13 +156,7 @@ def extend_word_search(
     nodes = 0
     best = ""
     word: list[str] = []
-
-    def tail_ok() -> bool:
-        m = len(word)
-        for p in range(k, m // 2 + 1):
-            if word[m - 2 * p : m - p] == word[m - p :]:
-                return False
-        return True
+    need = range(target_len // 2 + 1)  # a square of period p needs a run of p matches
 
     # explicit stack of next-symbol-to-try per depth (plain recursion would
     # blow the interpreter limit well before target_len 1000)
@@ -182,7 +180,8 @@ def extend_word_search(
             res = None
             break
         word.append(str(c))
-        if tail_ok():
+        m = len(word) - 1
+        if _tail_hit(word, m, k, (m + 1) // 2, need) is None:
             next_try.append(0)
         else:
             word.pop()

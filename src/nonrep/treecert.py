@@ -38,12 +38,11 @@ from math import ceil
 
 from .words import (
     Morphism,
-    PowerFreeSpec,
     apply_morphism,
     factors,
     iter_powerfree_ternary,
 )
-from .repetitions import Repetition, find_squares, is_power_free
+from .repetitions import PowerFreeSpec, Repetition, _period_runs, find_squares, is_power_free
 from .graphs import Graph, Coloring
 
 
@@ -87,22 +86,6 @@ def directedness_threshold(beta: Fraction, d: int) -> int:
     if beta >= 2:
         raise ValueError("threshold argument needs beta < 2")
     return ceil(Fraction(d - 1) / (2 - beta))
-
-
-def branch_palindrome_scan(w: str, k: int, pmax: int):
-    """Naive reference scan: for each center i, search w[:i+1] + reverse(w[:i])
-    for a square of period in [k, pmax] that crosses the center (starts at or
-    before index i and ends strictly after it).  Returns (center, Repetition)
-    for the first hit, with the repetition located in the palindromic branch
-    word, or None."""
-    if not 1 <= k <= pmax:
-        raise ValueError("need 1 <= k <= pmax")
-    for i in range(len(w)):
-        branch = w[: i + 1] + w[:i][::-1]
-        for rep in find_squares(branch, k, pmax):
-            if rep.start <= i < rep.start + rep.length - 1:
-                return i, rep
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +230,7 @@ def _scan_image_centers(img: str, periods):
     Returns (center, delta, Repetition-in-branch-word) or None."""
     L = len(img)
     for p in periods:
-        runs = [0] * L
-        run = 0
-        for j in range(p, L):
-            run = run + 1 if img[j] == img[j - p] else 0
-            runs[j] = run
+        runs = _period_runs(img, p)
         for i in range(p - 1, L):
             dhi = p if p <= i else i
             dlo = p - runs[i]
@@ -270,9 +249,13 @@ def _scan_image_centers(img: str, periods):
             if mirrors < dlo:
                 continue
             branch = img[: i + 1] + img[:i][::-1]
-            start = i + dlo - 2 * p + 1
-            assert branch[start : start + p] == branch[start + p : start + 2 * p]
-            return i, dlo, Repetition(start, 2 * p, p)
+            end = i + dlo
+            if _period_runs(branch[: end + 1], p)[end] < p:
+                raise RuntimeError(
+                    f"center scan derived a square of period {p} ending at {end} "
+                    f"that the branch word does not contain"
+                )
+            return i, dlo, Repetition(end - 2 * p + 1, 2 * p, p)
     return None
 
 
@@ -381,11 +364,7 @@ def certify_morphic_tree_coloring(
         raise ConfigurationError(
             f"small_period_max {spec.small_period_max} inconsistent with p* - 1 = {p_star - 1}"
         )
-    num, den = beta.numerator, beta.denominator
-
-    # minimal length at which a repetition of period p violates beta+ freeness
-    def free_len(p):
-        return (num * p) // den + 1 if spec.free_spec.strict else -((-num * p) // den)
+    free_len = spec.free_spec.violation_length
 
     bounds_error = None
     try:

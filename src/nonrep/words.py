@@ -8,8 +8,11 @@ multiplication or fractions.Fraction), never floating point.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .repetitions import PowerFreeSpec, _tail_hit
 
 
 def check_word(w: str, alphabet_size: int) -> None:
@@ -17,11 +20,6 @@ def check_word(w: str, alphabet_size: int) -> None:
     for ch in w:
         if not ch.isdigit() or int(ch) >= alphabet_size:
             raise ValueError(f"symbol {ch!r} out of range for alphabet of size {alphabet_size}")
-
-
-def reverse_word(w: str) -> str:
-    """The reversal of w."""
-    return w[::-1]
 
 
 def factors(w: str, length: int) -> set[str]:
@@ -35,8 +33,8 @@ def factors(w: str, length: int) -> set[str]:
 class Morphism:
     """A uniform morphism given by one image word per source symbol.
 
-    All images must have a common length (the uniform width); an empty image
-    tuple or all-empty images give the empty morphism of width 0.
+    There is at least one image, every image is a word of digits, and all
+    images have a common length of at least 1 (the uniform width).
     """
 
     images: tuple[str, ...]
@@ -45,6 +43,11 @@ class Morphism:
         widths = {len(img) for img in self.images}
         if len(widths) > 1:
             raise ValueError(f"images have differing lengths {sorted(widths)}; morphism must be uniform")
+        if not self.images or 0 in widths:
+            raise ValueError("morphism needs at least one image, of width >= 1")
+        for img in self.images:
+            if not (img.isascii() and img.isdigit()):
+                raise ValueError(f"image {img!r} is not a word of digits")
 
     @property
     def source_alphabet_size(self) -> int:
@@ -52,11 +55,7 @@ class Morphism:
 
     @property
     def uniform_width(self) -> int:
-        return len(self.images[0]) if self.images else 0
-
-    @property
-    def image_alphabet_size(self) -> int:
-        return max((int(c) for img in self.images for c in img), default=-1) + 1
+        return len(self.images[0])
 
     def to_text(self) -> str:
         """Serialize as one 'symbol -> image' line per source symbol."""
@@ -103,54 +102,40 @@ G5 = Morphism((
 NAMED_MORPHISMS = {"g2": G2, "g5": G5}
 
 
-@dataclass(frozen=True)
-class PowerFreeSpec:
-    """Freeness parameters: forbid repetitions of exponent beyond exponent_bound
-    with period at least min_period.
-
-    strict=True forbids exponent strictly greater than the bound (the "beta-plus"
-    reading); strict=False also forbids exponent equal to the bound.
-    """
-
-    exponent_bound: Fraction
-    min_period: int = 1
-    strict: bool = True
-
-    def __post_init__(self):
-        if self.exponent_bound < 1:
-            raise ValueError("exponent bound must be >= 1")
-        if self.min_period < 1:
-            raise ValueError("min period must be >= 1")
-
-    def violates(self, length: int, period: int) -> bool:
-        """Does a factor of this length with this period break the spec?"""
-        if period < self.min_period:
-            return False
-        num, den = self.exponent_bound.numerator, self.exponent_bound.denominator
-        if self.strict:
-            return length * den > num * period
-        return length * den >= num * period
-
-
 # Dejean's threshold for three symbols: repetitions of exponent > 7/4 are
 # avoidable, and that bound is tight.
 TERNARY_THRESHOLD = PowerFreeSpec(Fraction(7, 4), min_period=1, strict=True)
 
 
-def _suffix_ok(word: list[int], num: int = 7, den: int = 4) -> bool:
-    # Check only repetitions ending at the last symbol; callers extend one
-    # symbol at a time, so earlier violations were already rejected.
-    n = len(word)
-    last = word[-1]
-    for p in range(1, n):
-        if word[-1 - p] != last:
+def _free_ternary_words(length: int):
+    """Yield, in lexicographic order, every ternary word of the given length
+    that satisfies TERNARY_THRESHOLD.  Depth-first extension with an explicit
+    stack: each new symbol is checked only for repetitions ending at it, since
+    every shorter prefix already passed."""
+    # a repetition of period p ending at the new symbol breaks the bound once
+    # it is lengths[p] long, i.e. once its match run reaches need[p]
+    lengths = [TERNARY_THRESHOLD.violation_length(p) for p in range(length + 1)]
+    need = [lengths[p] - p for p in range(length + 1)]
+    word: list[str] = []
+    tried = [0]  # tried[i]: how many symbols position i has tried so far
+    while tried:
+        if len(word) == length:
+            yield "".join(word)
+            tried[-1] = 3  # a full-length word has no extensions to try
+        c = tried[-1]
+        if c == 3:
+            tried.pop()
+            if word:
+                word.pop()
             continue
-        m = 1
-        while m < n - p and word[-1 - m] == word[-1 - m - p]:
-            m += 1
-        if (p + m) * den > num * p:
-            return False
-    return True
+        tried[-1] = c + 1
+        word.append("012"[c])
+        m = len(word) - 1
+        hi = bisect_right(lengths, m + 1) - 1  # the periods a violation fits
+        if _tail_hit(word, m, 1, hi, need) is None:
+            tried.append(0)
+        else:
+            word.pop()
 
 
 def iter_powerfree_ternary(length: int):
@@ -158,29 +143,7 @@ def iter_powerfree_ternary(length: int):
     repetition of exponent > 7/4, in lexicographic order."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    if length == 0:
-        yield ""
-        return
-    word: list[int] = []
-
-    def rec():
-        if len(word) == length:
-            yield "".join(map(str, word))
-            return
-        for c in range(3):
-            word.append(c)
-            if _suffix_ok(word):
-                yield from rec()
-            word.pop()
-
-    yield from rec()
-
-
-def enumerate_powerfree_ternary(length: int) -> set[str]:
-    """All ternary words of exactly the given length with no factor of
-    exponent > 7/4.  Every length-`length` factor of every infinite
-    (7/4+)-free ternary word is among them."""
-    return set(iter_powerfree_ternary(length))
+    yield from _free_ternary_words(length)
 
 
 def generate_powerfree_ternary(length: int, margin: int = 50) -> str:
@@ -193,19 +156,7 @@ def generate_powerfree_ternary(length: int, margin: int = 50) -> str:
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    target = length + margin
-    word: list[int] = []
-
-    def rec() -> bool:
-        if len(word) == target:
-            return True
-        for c in range(3):
-            word.append(c)
-            if _suffix_ok(word) and rec():
-                return True
-            word.pop()
-        return False
-
-    if not rec():
+    word = next(_free_ternary_words(length + margin), None)
+    if word is None:
         raise RuntimeError("no extendable power-free word found; margin too small")
-    return "".join(map(str, word[:length]))
+    return word[:length]

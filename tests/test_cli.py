@@ -6,12 +6,20 @@ import pytest
 
 from nonrep.cli import main
 from nonrep.graphs import Graph, stacked_triangulation
+from test_words import naive_threshold_free
 
 
 def test_word_gen(capsys):
     assert main(["word", "gen", "--length", "30"]) == 0
     out = capsys.readouterr().out.strip()
     assert len(out) == 30 and set(out) <= set("012")
+
+
+def test_word_gen_long(capsys):
+    # generation needs no recursion, so it runs past the interpreter's depth
+    assert main(["word", "gen", "--length", "1000"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert len(out) == 1000 and naive_threshold_free(out)
 
 
 def test_word_check_free_pass(capsys):
@@ -43,6 +51,27 @@ def test_morphism_apply(capsys):
 
 def test_unknown_morphism_exit_2():
     assert main(["morphism", "apply", "--morphism", "nope", "0"]) == 2
+
+
+def test_morphism_non_digit_image_exit_2(capsys, tmp_path):
+    f = tmp_path / "letters.txt"
+    f.write_text("0 -> 0a1\n1 -> 1b0\n2 -> 2c2\n")
+    assert main(["morphism", "apply", "--morphism", str(f), "012"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_treecert_width_zero_morphism_exit_2(capsys, tmp_path):
+    f = tmp_path / "empty.txt"
+    f.write_text("0 ->\n1 ->\n2 ->\n")
+    rc = main(
+        [
+            "treecert", "certify", "--morphism", str(f), "--k", "1",
+            "--beta", "19/10", "--n", "1", "--d", "2", "--factor-len", "4",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and captured.err.startswith("error:")
 
 
 def test_treecert_certify_pass(capsys):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from nonrep.graphs import (
     Coloring,
     Graph,
+    SearchExhausted,
     check_3tree,
-    enumerate_paths,
     fan_witness,
     leveled_outerplanar,
     outerplanar_U,
@@ -174,6 +174,37 @@ def test_u_witness_examples():
             assert host.has_edge(v, 0)
         for a, b in template.edges():
             assert host.has_edge(image[a], image[b])
+
+
+def enumerate_paths(g: Graph, max_vertices: int, max_paths: int | None = None):
+    """Yield every simple path with 2..max_vertices vertices exactly once up to
+    reversal, oriented with the lexicographically smaller endpoint first.
+    Raises SearchExhausted if a path-count budget is given and hit.  This is
+    the path source of the naive verifier below."""
+    if max_vertices < 2:
+        raise ValueError("need max_vertices >= 2")
+    count = 0
+    path = []
+    on_path = [False] * g.n
+
+    def rec(v):
+        nonlocal count
+        path.append(v)
+        on_path[v] = True
+        if len(path) >= 2 and path[0] < path[-1]:
+            count += 1
+            if max_paths is not None and count > max_paths:
+                raise SearchExhausted(f"path budget {max_paths} exceeded")
+            yield tuple(path)
+        if len(path) < max_vertices:
+            for u in sorted(g.adj[v]):
+                if not on_path[u]:
+                    yield from rec(u)
+        on_path[v] = False
+        path.pop()
+
+    for start in range(g.n):
+        yield from rec(start)
 
 
 def test_enumerate_paths_examples():

@@ -1,5 +1,5 @@
-"""Tests for repetition detection: exhaustive naive-oracle equivalences plus
-the pinned examples."""
+"""Tests for repetition detection: the match-run kernel against its slice
+definition, exhaustive naive-oracle equivalences, and pinned examples."""
 
 from fractions import Fraction
 from itertools import product
@@ -9,13 +9,12 @@ from hypothesis import given, strategies as st
 
 from nonrep.words import G2, G5, PowerFreeSpec, apply_morphism
 from nonrep.repetitions import (
-    DirectednessSpec,
     Repetition,
+    _period_runs,
+    _tail_hit,
     find_squares,
     is_d_directed,
     is_power_free,
-    max_exponent,
-    smallest_period,
 )
 
 small_words = st.text(alphabet="012", min_size=0, max_size=25)
@@ -39,18 +38,32 @@ def test_repetition_type():
     assert Repetition(0, 7, 3).exponent == Fraction(7, 3)
     with pytest.raises(ValueError):
         Repetition(0, 2, 3)
-    with pytest.raises(ValueError):
-        DirectednessSpec(0)
 
 
-def test_smallest_period():
-    assert smallest_period("0101") == 2
-    assert smallest_period("01010") == 2
-    assert smallest_period("000") == 1
-    assert smallest_period("012") == 3
-    assert smallest_period("0110110") == 3
-    with pytest.raises(ValueError):
-        smallest_period("")
+def slice_run(w, m, p):
+    """The match run at period p ending at index m, by its definition: the
+    largest r with w[m-r+1 : m+1] == w[m-r+1-p : m+1-p]."""
+    r = 0
+    while r <= m - p and w[m - r : m + 1] == w[m - r - p : m + 1 - p]:
+        r += 1
+    return r
+
+
+@given(
+    st.text(alphabet="012", min_size=2, max_size=30) | st.text(alphabet="01", min_size=2, max_size=30),
+    st.data(),
+)
+def test_match_run_kernel_matches_slice_definition(w, data):
+    n = len(w)
+    for p in range(1, n + 2):
+        assert _period_runs(w, p) == [slice_run(w, j, p) for j in range(n)]
+    m = data.draw(st.integers(1, n - 1))
+    lo = data.draw(st.integers(1, m))
+    hi = data.draw(st.integers(lo - 1, m))
+    need = [0] + [data.draw(st.integers(1, m - p + 1)) for p in range(1, m + 1)]
+    want = next((p for p in range(lo, hi + 1) if slice_run(w, m, p) >= need[p]), None)
+    assert _tail_hit(w, m, lo, hi, need) == want
+    assert _tail_hit(list(w), m, lo, hi, need) == want
 
 
 def test_find_squares_examples():
@@ -80,21 +93,6 @@ def test_find_squares_matches_naive(w, lo, extra):
     hi = lo + extra
     got = [(r.start, r.period) for r in find_squares(w, lo, hi)]
     assert got == naive_squares(w, lo, hi)
-
-
-def test_max_exponent_examples():
-    assert max_exponent("0110110", 1) == Fraction(7, 3)
-    assert max_exponent("01", 1) == 1
-    assert max_exponent("000", 1) == 3
-    assert max_exponent("", 1) == 0
-    assert max_exponent("01010", 2) == Fraction(5, 2)
-    assert max_exponent("000", 2) == 0  # smallest period of every factor is 1
-
-
-@given(small_words)
-def test_max_exponent_prefix_monotone(w):
-    vals = [max_exponent(w[:i], 1) for i in range(len(w) + 1)]
-    assert all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
 
 
 def test_is_power_free_examples():

@@ -142,6 +142,15 @@ def test_tree_witness_search_inconclusive():
     assert tree_witness_search(3, 3, max_depth=3, max_arity=2) is None
 
 
+def test_pi_k_exact_rejected_witness_raises(monkeypatch):
+    from nonrep import search
+    from nonrep.repetitions import Repetition
+
+    monkeypatch.setattr(search, "verify_coloring", lambda *args: ((0, 1), Repetition(0, 2, 1)))
+    with pytest.raises(RuntimeError, match="witness"):
+        search.pi_k_exact(path_graph(3), 1)
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(node_limit=0)

@@ -1,5 +1,6 @@
 """Tests for the tree-coloring certificate machinery, including differential
-validation of the center-crossing scan against the naive palindromic scan."""
+validation of the center-crossing scan against a naive palindromic scan that
+compares slices of every branch word."""
 
 import json
 from fractions import Fraction
@@ -9,13 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonrep.words import G2, G5, Morphism, PowerFreeSpec, apply_morphism, iter_powerfree_ternary
-from nonrep.repetitions import find_squares
+from nonrep.repetitions import Repetition
 from nonrep.treecert import (
     BranchCheckSpec,
     ConfigurationError,
     _scan_image_centers,
     analyze_morphism_structure,
-    branch_palindrome_scan,
     build_level_tree,
     certify_morphic_tree_coloring,
     directedness_threshold,
@@ -44,6 +44,33 @@ def test_directedness_threshold_is_least_satisfying_p():
         assert sat and sat[0] == p_star
 
 
+def slice_squares(w, lo, hi):
+    """(start, period) of every square in w with period in [lo, hi], in
+    (start, period) order, found by comparing slices."""
+    return [
+        (start, p)
+        for start in range(len(w))
+        for p in range(lo, min(hi, (len(w) - start) // 2) + 1)
+        if w[start : start + p] == w[start + p : start + 2 * p]
+    ]
+
+
+def branch_palindrome_scan(w: str, k: int, pmax: int):
+    """Naive reference scan: for each center i, search w[:i+1] + reverse(w[:i])
+    for a square of period in [k, pmax] that crosses the center (starts at or
+    before index i and ends strictly after it).  Returns (center, Repetition)
+    for the first hit, with the repetition located in the palindromic branch
+    word, or None."""
+    if not 1 <= k <= pmax:
+        raise ValueError("need 1 <= k <= pmax")
+    for i in range(len(w)):
+        branch = w[: i + 1] + w[:i][::-1]
+        for start, p in slice_squares(branch, k, pmax):
+            if start <= i < start + 2 * p - 1:
+                return i, Repetition(start, 2 * p, p)
+    return None
+
+
 def test_branch_palindrome_scan_examples():
     assert branch_palindrome_scan("01", 1, 1) is None
     hit = branch_palindrome_scan("00", 1, 1)
@@ -67,11 +94,8 @@ def naive_crossing_square(w: str, periods) -> bool:
     the center."""
     for i in range(len(w)):
         branch = w[: i + 1] + w[:i][::-1]
-        for rep in find_squares(branch, 1, max(periods)):
-            if rep.period not in periods:
-                continue
-            delta = rep.start + rep.length - 1 - i
-            if 1 <= delta <= rep.period:
+        for start, p in slice_squares(branch, min(periods), max(periods)):
+            if p in periods and 1 <= start + 2 * p - 1 - i <= p:
                 return True
     return False
 

@@ -13,11 +13,9 @@ from nonrep.words import (
     TERNARY_THRESHOLD,
     apply_morphism,
     check_word,
-    enumerate_powerfree_ternary,
     factors,
     generate_powerfree_ternary,
     iter_powerfree_ternary,
-    reverse_word,
 )
 
 ternary_words = st.text(alphabet="012", max_size=30)
@@ -45,10 +43,7 @@ def test_check_word():
         check_word("0a", 3)
 
 
-def test_reverse_and_factors():
-    assert reverse_word("012") == "210"
-    assert reverse_word("") == ""
-    assert reverse_word("00110") == "01100"
+def test_factors():
     assert factors("0102", 2) == {"01", "10", "02"}
     assert factors("0011", 3) == {"001", "011"}
     assert factors("0011", 0) == {""}
@@ -59,13 +54,20 @@ def test_reverse_and_factors():
 def test_morphism_tables():
     assert G2.uniform_width == 12 and G2.source_alphabet_size == 3
     assert G5.uniform_width == 21 and G5.source_alphabet_size == 3
-    assert G2.image_alphabet_size == 3  # images use symbols 0,1,2
-    assert G5.image_alphabet_size == 2
 
 
 def test_morphism_uniformity_enforced():
     with pytest.raises(ValueError):
         Morphism(("01", "0"))
+
+
+def test_morphism_images_validated():
+    # no image, width 0, a letter, a digit outside ASCII
+    for images in ((), ("", "", ""), ("0a1", "012", "210"), ("01", "1\u0662")):
+        with pytest.raises(ValueError):
+            Morphism(images)
+    with pytest.raises(ValueError):
+        Morphism.from_text("0 ->\n1 ->\n2 ->")
 
 
 def test_morphism_text_round_trip():
@@ -105,10 +107,12 @@ def test_powerfree_spec():
 
 
 def test_enumerate_sizes():
-    assert len(enumerate_powerfree_ternary(1)) == 3
-    assert len(enumerate_powerfree_ternary(2)) == 6
-    assert len(enumerate_powerfree_ternary(3)) == 12
-    assert enumerate_powerfree_ternary(0) == {""}
+    assert len(set(iter_powerfree_ternary(1))) == 3
+    assert len(set(iter_powerfree_ternary(2))) == 6
+    assert len(set(iter_powerfree_ternary(3))) == 12
+    assert set(iter_powerfree_ternary(0)) == {""}
+    with pytest.raises(ValueError):
+        next(iter_powerfree_ternary(-1))
 
 
 def test_enumeration_matches_naive_oracle():
@@ -120,7 +124,7 @@ def test_enumeration_matches_naive_oracle():
             for w in product("012", repeat=length)
             if naive_threshold_free("".join(w))
         }
-        assert enumerate_powerfree_ternary(length) == expected
+        assert set(iter_powerfree_ternary(length)) == expected
 
 
 def test_iteration_is_lexicographic():
@@ -130,11 +134,12 @@ def test_iteration_is_lexicographic():
 
 
 def test_factor_closedness():
-    for w in enumerate_powerfree_ternary(8):
+    free = {n: set(iter_powerfree_ternary(n)) for n in range(9)}
+    for w in free[8]:
         assert naive_threshold_free(w)
         for i in range(len(w)):
             for j in range(i + 1, len(w) + 1):
-                assert w[i:j] in enumerate_powerfree_ternary(j - i)
+                assert w[i:j] in free[j - i]
 
 
 def test_generate_examples():
