@@ -159,6 +159,7 @@ def cmd_search(args) -> int:
             "upper": res.upper,
             "witness": list(res.witness.colors) if res.witness else None,
             "exhausted": res.exhausted,
+            "nodes": res.nodes,
         }
         print(json.dumps(doc, sort_keys=True))
         return 0 if res.value is not None else 1

@@ -378,38 +378,44 @@ def verify_coloring(
     need = range(pmax + 1)  # a square of period p needs a run of p matches
     adjs = [sorted(a) for a in g.adj]
     visited_paths = 0
-    path: list[int] = []
-    seq: list[int] = []
     on_path = [False] * g.n
-
-    def rec(v):
-        nonlocal visited_paths
-        path.append(v)
-        seq.append(colors[v])
-        on_path[v] = True
-        m = len(seq) - 1
-        try:
-            if m:
-                visited_paths += 1
-                if max_paths is not None and visited_paths > max_paths:
-                    raise SearchExhausted(f"path budget {max_paths} exceeded")
-                p = _tail_hit(seq, m, k, min(pmax, (m + 1) // 2), need)
+    for start in range(g.n):
+        # an explicit stack of neighbour iterators, one per path vertex, so
+        # long paths do not recurse; unwinding it clears on_path again
+        path = [start]
+        seq = [colors[start]]
+        on_path[start] = True
+        nbrs = iter(adjs[start])
+        stack = [nbrs]
+        while True:
+            for u in nbrs:
+                if not on_path[u]:
+                    break
+            else:
+                on_path[path.pop()] = False
+                seq.pop()
+                stack.pop()
+                if not stack:
+                    break
+                nbrs = stack[-1]
+                continue
+            m = len(path)
+            path.append(u)
+            seq.append(colors[u])
+            on_path[u] = True
+            visited_paths += 1
+            if max_paths is not None and visited_paths > max_paths:
+                raise SearchExhausted(f"path budget {max_paths} exceeded")
+            hi = (m + 1) // 2  # the longest period of a square ending at m
+            if hi >= k:
+                p = _tail_hit(seq, m, k, hi if hi < pmax else pmax, need)
                 if p is not None:
                     return tuple(path), Repetition(m - 2 * p + 1, 2 * p, p)
-            if len(path) < max_path:
-                for u in adjs[v]:
-                    if not on_path[u]:
-                        res = rec(u)
-                        if res is not None:
-                            return res
-            return None
-        finally:
-            on_path[v] = False
-            path.pop()
-            seq.pop()
-
-    for start in range(g.n):
-        res = rec(start)
-        if res is not None:
-            return res
+            if m + 1 < max_path:
+                nbrs = iter(adjs[u])
+                stack.append(nbrs)
+            else:
+                on_path[u] = False
+                path.pop()
+                seq.pop()
     return None

@@ -27,12 +27,14 @@ class SearchBudget:
 @dataclass
 class PiResult:
     """Minimum color count for square-period->=k-free path colorings, or
-    bracketing bounds when the search ran out of budget."""
+    bracketing bounds when the search ran out of budget.  `nodes` counts the
+    color assignments tried, over every palette size."""
 
     lower: int
     upper: int | None
     witness: Coloring | None
     exhausted: bool
+    nodes: int = 0
 
     @property
     def value(self) -> int | None:
@@ -43,42 +45,82 @@ def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int) -> bool:
     """True if some simple path through v, over the vertices colored so far,
     reads a color square of period >= k.  A violating path always contains a
     square that passes through the newly colored vertex, and that square is
-    itself a path, so it suffices to grow paths outward from v in both
-    directions and test each for being exactly a square."""
+    itself a path, so it suffices to find such a square.
 
-    def is_square(seq) -> bool:
-        m = len(seq)
-        return m % 2 == 0 and m // 2 >= k and seq[: m // 2] == seq[m // 2 :]
-
+    Read a square path x_0, ..., x_{2h-1} through v = x_j from the end that
+    puts v in its second half (j >= h).  Then R = x_j, x_{j-1}, ..., x_0, the
+    part from v back to the start, holds the whole first half, and with
+    L = |R| (h < L <= 2h) the path is a square exactly when
+      - R has period h: in the terms of `repetitions`, the match run at
+        period h ending at R's tail is L - h, that is, it never broke; and
+      - the 2h - L vertices past v read the fixed colors
+        R[h-1], R[h-2], ..., R[L-h].
+    So one walk grows R out of v (an explicit stack of neighbour iterators)
+    and keeps the periods still alive at each depth: appending a vertex keeps
+    an alive h when its color equals R[L-h] (the run grows by one; otherwise
+    it drops to 0 and h dies for good), and makes h = L alive when the color
+    equals R[0].  An alive h with 2h == L is a square; any other alive h is
+    completed by a narrow walk from v that follows only off-path neighbours
+    of the next required color.  R stops growing once no period is alive and
+    no later one fits in the colored vertices.
+    """
+    adj = g.adj
+    ncolored = sum(c >= 0 for c in colors)
     on_path = [False] * g.n
-    limit = 2 * (g.n // 2)
 
-    def right(path) -> bool:
-        if is_square([colors[u] for u in path]):
-            return True
-        if len(path) < limit:
-            for u in g.adj[path[-1]]:
-                if colors[u] >= 0 and not on_path[u]:
-                    on_path[u] = True
-                    if right(path + [u]):
-                        return True
-                    on_path[u] = False
+    def complete(seq: list[int], h: int) -> bool:
+        """Is there an off-path walk from v reading seq[h-1], ..., seq[L-h]?"""
+        walk: list[int] = []
+        stack = [iter(adj[v])]
+        while stack:
+            want = seq[h - 1 - len(walk)]
+            for u in stack[-1]:
+                if colors[u] == want and not on_path[u]:
+                    break
+            else:
+                stack.pop()
+                if walk:
+                    on_path[walk.pop()] = False
+                continue
+            if len(seq) + len(walk) + 1 == 2 * h:
+                return True
+            walk.append(u)
+            on_path[u] = True
+            stack.append(iter(adj[u]))
         return False
 
-    def left(path) -> bool:
-        if right(path):
-            return True
-        if len(path) < limit:
-            for u in g.adj[path[0]]:
-                if colors[u] >= 0 and not on_path[u]:
-                    on_path[u] = True
-                    if left([u] + path):
-                        return True
-                    on_path[u] = False
+    # a square of period h >= k spans 2h colored vertices
+    if 2 * k > ncolored:
         return False
-
+    seq = [colors[v]]
     on_path[v] = True
-    return left([v])
+    stack = [(v, iter(adj[v]), [])]  # per path vertex: neighbours left, alive periods
+    while stack:
+        _, nbrs, alive = stack[-1]
+        for u in nbrs:
+            if colors[u] >= 0 and not on_path[u]:
+                break
+        else:
+            on_path[stack.pop()[0]] = False
+            seq.pop()
+            continue
+        L = len(seq)
+        c = colors[u]
+        grown = [h for h in alive if 2 * h > L and seq[L - h] == c]
+        if L >= k and 2 * L <= ncolored and seq[0] == c:
+            grown.append(L)
+        seq.append(c)
+        on_path[u] = True
+        L += 1
+        for h in grown:
+            if 2 * h == L or complete(seq, h):
+                return True
+        if grown or 2 * max(L, k) <= ncolored:  # h = max(L, k) joins next at best
+            stack.append((u, iter(adj[u]), grown))
+        else:
+            on_path[u] = False
+            seq.pop()
+    return False
 
 
 def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiResult:
@@ -98,31 +140,37 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
         """Coloring if one exists, False if provably none, None on budget."""
         nonlocal nodes
         colors = [-1] * g.n
-
-        def rec(v: int, used: int):
-            nonlocal nodes
-            if v == g.n:
-                return Coloring(tuple(colors), ncolors)
-            top = min(used + 1, ncolors)
-            for c in range(top):
-                nodes += 1
-                if nodes > budget.node_limit or time.monotonic() > deadline:
-                    return None
-                colors[v] = c
-                if not _square_through_vertex(g, colors, v, k):
-                    res = rec(v + 1, max(used, c + 1))
-                    if res is not False:
-                        return res
+        # per vertex: the next color to try, and how many colors the vertices
+        # before it use (an explicit stack, so long paths do not recurse)
+        next_color = [0] * g.n
+        used = [0] * (g.n + 1)
+        v = 0
+        while v < g.n:
+            c = next_color[v]
+            if c >= min(used[v] + 1, ncolors):
+                next_color[v] = 0
+                if v == 0:
+                    return False
+                v -= 1
                 colors[v] = -1
-            return False
-
-        return rec(0, 0)
+                continue
+            next_color[v] = c + 1
+            nodes += 1
+            if nodes > budget.node_limit or time.monotonic() > deadline:
+                return None
+            colors[v] = c
+            if _square_through_vertex(g, colors, v, k):
+                colors[v] = -1
+            else:
+                used[v + 1] = max(used[v], c + 1)
+                v += 1
+        return Coloring(tuple(colors), ncolors)
 
     lower = 1
     for ncolors in range(1, budget.max_colors + 1):
         res = solve(ncolors)
         if res is None:
-            return PiResult(lower, None, None, True)
+            return PiResult(lower, None, None, True, nodes)
         if res is not False:
             if g.n >= 2:
                 check = verify_coloring(g, res, k, g.n)
@@ -130,10 +178,10 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
                     raise RuntimeError(
                         f"pi_k search returned a witness coloring that the verifier rejects: {check}"
                     )
-            return PiResult(ncolors, ncolors, res, False)
+            return PiResult(ncolors, ncolors, res, False, nodes)
         lower = ncolors + 1
     # palette exhausted: the lower bound is proven, not a budget timeout
-    return PiResult(lower, None, None, False)
+    return PiResult(lower, None, None, False, nodes)
 
 
 @dataclass
@@ -191,33 +239,29 @@ def extend_word_search(
 def _rooted_trees(max_vertices: int):
     """Yield rooted trees as canonical parent arrays (parent[0] = -1,
     parent[v] < v), smallest vertex count first, one per isomorphism class."""
-
-    def canon(children: dict[int, list[int]], v: int) -> tuple:
-        return tuple(sorted(canon(children, c) for c in children.get(v, [])))
-
     for n in range(1, max_vertices + 1):
         seen = set()
-
-        def rec(parent: list[int]):
-            if len(parent) == n:
-                children: dict[int, list[int]] = {}
-                for v, p in enumerate(parent):
-                    if p >= 0:
-                        children.setdefault(p, []).append(v)
-                key = canon(children, 0)
-                if key not in seen:
-                    seen.add(key)
-                    yield list(parent)
-                return
-            v = len(parent)
-            # BFS labelings have non-decreasing parents, so restricting to
-            # them keeps every shape reachable while cutting the search to
-            # Catalan-many arrays; exact dedup happens via the canonical form
-            lo = parent[-1] if len(parent) > 1 else 0
-            for p in range(lo, v):
-                yield from rec(parent + [p])
-
-        yield from rec([-1])
+        # BFS labelings have non-decreasing parents, so restricting to them
+        # keeps every shape reachable while cutting the search to
+        # Catalan-many arrays; exact dedup happens via the canonical form.
+        # The arrays come in lexicographic order: parent[v] ranges over
+        # parent[v-1] .. v-1, so the next array bumps the last entry below
+        # its cap and resets every later entry to the bumped value.
+        parent = [-1] + [0] * (n - 1)
+        while True:
+            kids: list[list[tuple]] = [[] for _ in range(n)]
+            for v in range(n - 1, 0, -1):  # children before parents
+                kids[parent[v]].append(tuple(sorted(kids[v])))
+            key = tuple(sorted(kids[0]))
+            if key not in seen:
+                seen.add(key)
+                yield list(parent)
+            v = n - 1
+            while v > 0 and parent[v] == v - 1:
+                v -= 1
+            if v == 0:
+                break
+            parent[v:] = [parent[v] + 1] * (n - v)
 
 
 def tree_witness_search(

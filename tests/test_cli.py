@@ -6,6 +6,8 @@ import pytest
 
 from nonrep.cli import main
 from nonrep.graphs import Graph, stacked_triangulation
+from nonrep.words import generate_powerfree_ternary
+from test_search import recursion_headroom
 from test_words import naive_threshold_free
 
 
@@ -135,6 +137,25 @@ def test_graph_verify(capsys, tmp_path):
     assert main(["graph", "verify", "--graph", str(f), "--colors", "0,1,0", "--k", "1"]) == 2
 
 
+def test_graph_verify_long_path(capsys, tmp_path):
+    # the verifier walks each path to its end; 200 vertices is far deeper
+    # than the lowered recursion limit allows a recursive walk to go
+    n = 200
+    f = tmp_path / "p.json"
+    main(["graph", "gen", "--family", "path", "--n", str(n), "--out", str(f)])
+    word = generate_powerfree_ternary(n)
+    clean = ",".join(word)
+    flat = ",".join("0" * n)
+    capsys.readouterr()
+    with recursion_headroom(50):
+        assert main(["graph", "verify", "--graph", str(f), "--colors", clean, "--k", "90"]) == 0
+        assert main(["graph", "verify", "--graph", str(f), "--colors", flat, "--k", "90"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err and err == ""
+    assert out.splitlines()[0] == "no violating path"
+    assert "period=90" in out.splitlines()[1]
+
+
 def test_graph_verify_missing_file():
     assert main(["graph", "verify", "--graph", "/no/such.json", "--colors", "0", "--k", "1"]) == 2
 
@@ -143,6 +164,8 @@ def test_search_pik(capsys):
     assert main(["search", "pik", "--n", "4", "--k", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["value"] == 3 and doc["exhausted"] is False
+    assert main(["search", "pik", "--n", "6", "--k", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes"] == 19
 
 
 def test_search_word(capsys):
