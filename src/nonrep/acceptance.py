@@ -277,12 +277,15 @@ def _naive_square_table(chunk, k: int):
     return out
 
 
-def criterion_9a_words(max_len: int = 14) -> bool:
+_C9A_MAX_LEN = 14
+
+
+def criterion_9a_words() -> bool:
     """find_squares agrees with the naive triple loop on every ternary word of
-    length <= max_len."""
+    length <= _C9A_MAX_LEN."""
     import numpy as np
 
-    for length in range(2, max_len + 1):
+    for length in range(2, _C9A_MAX_LEN + 1):
         total = 3 ** length
         powers = 3 ** np.arange(length - 1, -1, -1, dtype=np.int64)
         chunk_size = 200_000

@@ -106,9 +106,6 @@ class Coloring:
             if not 0 <= c < self.color_count:
                 raise ValueError(f"color {c} out of range")
 
-    def to_json(self) -> list[int]:
-        return list(self.colors)
-
 
 def path_graph(n: int) -> Graph:
     """Path on n vertices, 0-1-...-(n-1)."""
@@ -212,15 +209,21 @@ def plus4_gadget(h: Graph, m: int) -> Graph:
     return g
 
 
-def leveled_outerplanar(levels: int, path_len: int, max_vertices: int = 200_000) -> Graph:
+_LEVELED_MAX_VERTICES = 200_000
+
+
+def leveled_outerplanar(levels: int, path_len: int) -> Graph:
     """Rooted leveled graph: every vertex on level i carries a child path of
     path_len vertices on level i+1 (children adjacent to the parent and
-    consecutive children adjacent)."""
+    consecutive children adjacent).  Refuses instances of more than
+    _LEVELED_MAX_VERTICES vertices."""
     if levels < 0 or path_len < 1:
         raise ValueError("need levels >= 0 and path_len >= 1")
     total = sum(path_len ** i for i in range(levels + 1))
-    if total > max_vertices:
-        raise ValueError(f"instance would have {total} vertices, over the budget of {max_vertices}")
+    if total > _LEVELED_MAX_VERTICES:
+        raise ValueError(
+            f"instance would have {total} vertices, over the budget of {_LEVELED_MAX_VERTICES}"
+        )
     g = Graph(1)
     g.levels = [0]
     frontier = [0]
@@ -294,11 +297,14 @@ class WitnessSearch:
     nodes: int
 
 
-def u_witness(i: int, x: int, t: int, node_budget: int = 2_000_000) -> WitnessSearch:
+_U_WITNESS_NODE_BUDGET = 2_000_000
+
+
+def u_witness(i: int, x: int, t: int) -> WitnessSearch:
     """Search the (i+t+2)-th stacked triangulation for a copy of the t-th
     outerplanar family graph, disjoint from the i-th triangulation, with every
     copy vertex adjacent to x.  Returns the template->host mapping, or flags
-    exhaustion when the budget runs out."""
+    exhaustion when _U_WITNESS_NODE_BUDGET search nodes run out."""
     small_n = stacked_triangulation(i).n
     if not 0 <= x < small_n:
         raise ValueError(f"vertex {x} not in the level-{i} triangulation")
@@ -319,7 +325,7 @@ def u_witness(i: int, x: int, t: int, node_budget: int = 2_000_000) -> WitnessSe
         v = order[idx]
         for host in cand:
             nodes += 1
-            if nodes > node_budget:
+            if nodes > _U_WITNESS_NODE_BUDGET:
                 return None
             if host in used:
                 continue

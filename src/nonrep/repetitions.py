@@ -64,10 +64,6 @@ class PowerFreeSpec:
             return (num * period) // den + 1
         return -(-(num * period) // den)
 
-    def violates(self, length: int, period: int) -> bool:
-        """Does a factor of this length with this period break the spec?"""
-        return period >= self.min_period and length >= self.violation_length(period)
-
 
 def _tail_hit(seq, m: int, lo: int, hi: int, need) -> int | None:
     """The least period p in [lo, hi] whose match run ending at index m reaches
@@ -157,8 +153,11 @@ def is_d_directed(w: str, d: int) -> tuple[str, str] | None:
     pair.  A palindromic factor offends by definition."""
     if d < 1:
         raise ValueError("window length must be >= 1")
-    fs = {w[i:i + d] for i in range(len(w) - d + 1)}
-    for f in sorted(fs):
-        if f[::-1] in fs:
-            return f, f[::-1]
-    return None
+    return _reversal_pair({w[i:i + d] for i in range(len(w) - d + 1)})
+
+
+def _reversal_pair(factor_set) -> tuple[str, str] | None:
+    """(f, reversal of f) for the least f in factor_set whose reversal is also
+    in it, or None."""
+    f = min((f for f in factor_set if f[::-1] in factor_set), default=None)
+    return None if f is None else (f, f[::-1])

@@ -16,7 +16,9 @@ square of period >= k, by combining four checks:
 3. threshold       -- periods p >= p* = ceil((d-1)/(2-beta)) crossing the
    palindrome center are impossible given checks 1 and 2;
 4. center scan     -- periods in [k, p*-1] crossing the center, and squares
-   of period >= k inside images, are ruled out directly.
+   of period in [k, n-1] inside images, are ruled out directly; in-image
+   squares of period >= n are ruled out by check 1 on the same image, since a
+   square has exponent 2 > beta.
 
 Checks 1 and 4 quantify over all images of threshold-free source words, which
 is an infinite family.  They are reduced to a finite enumeration through
@@ -32,7 +34,7 @@ of a sufficient fixed length.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import ceil
 
@@ -42,7 +44,8 @@ from .words import (
     factors,
     iter_powerfree_ternary,
 )
-from .repetitions import PowerFreeSpec, Repetition, _period_runs, find_squares, is_power_free
+from .repetitions import (PowerFreeSpec, Repetition, _period_runs, _reversal_pair,
+                          find_squares, is_power_free)
 from .graphs import Graph, Coloring
 
 
@@ -59,21 +62,19 @@ class ConfigurationError(ValueError):
 class BranchCheckSpec:
     """Parameters of the branch-word property to certify: no square of period
     >= k on branch words, via (free_spec)-freeness, directed_d-directedness,
-    and an exhaustive scan of center-crossing periods up to small_period_max
-    (p* - 1, derived from the other fields when omitted)."""
+    and an exhaustive scan of center-crossing periods up to p* - 1 and of
+    in-image squares of period below free_spec.min_period (p* and the periods
+    that need a direct check are derived from these fields)."""
 
     k: int
     free_spec: PowerFreeSpec
     directed_d: int
-    small_period_max: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need k >= 1")
         if self.directed_d < 1:
             raise ValueError("need directed_d >= 1")
-        if self.small_period_max is not None and self.small_period_max < self.k - 1:
-            raise ValueError("need small_period_max >= k - 1")
 
 
 def directedness_threshold(beta: Fraction, d: int) -> int:
@@ -279,14 +280,6 @@ class CheckRecord:
     params: dict
     counterexample: dict | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "params": self.params,
-            "counterexample": self.counterexample,
-        }
-
 
 @dataclass
 class Certificate:
@@ -323,7 +316,7 @@ class Certificate:
             "p_star": self.p_star,
             "covered_window": self.covered_window,
             "source_words": self.source_words,
-            "checks": [c.to_json_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
             "passed": self.passed,
         }
 
@@ -360,27 +353,15 @@ def certify_morphic_tree_coloring(
     st = analyze_morphism_structure(m)
     width = st.width
     p_star = directedness_threshold(beta, d)
-    if spec.small_period_max is not None and spec.small_period_max != p_star - 1:
-        raise ConfigurationError(
-            f"small_period_max {spec.small_period_max} inconsistent with p* - 1 = {p_star - 1}"
-        )
     free_len = spec.free_spec.violation_length
 
     bounds_error = None
     try:
         free_dyn = _dynamic_periods(st, n, lambda p: free_len(p) - p, beta - 1)
         square_dyn = _dynamic_periods(st, k, lambda p: p, Fraction(1))
-        scan_dyn = []
-        for p in range(k, p_star):
-            rb = st.run_bound(p)
-            if rb is None:
-                raise ConfigurationError(
-                    "structural run bounds unavailable for this morphism"
-                )
-            # a crossing square of period p needs a trailing run of p - delta
-            # matches, and d-directedness caps delta at d - 1
-            if rb >= p - (d - 1):
-                scan_dyn.append(p)
+        # a crossing square of period p needs a trailing run of p - delta
+        # matches, and d-directedness caps delta at d - 1
+        scan_dyn = [p for p in _dynamic_periods(st, k, lambda p: p - (d - 1), 1) if p < p_star]
     except ConfigurationError as exc:
         if factor_len is None:
             raise
@@ -416,15 +397,21 @@ def certify_morphic_tree_coloring(
     for src in iter_powerfree_ternary(factor_len):
         source_words += 1
         img = apply_morphism(m, src)
+        clean = False
         if free_cx is None:
             rep = is_power_free(img, free_spec)
-            if rep is not None:
+            clean = rep is None
+            if not clean:
                 free_cx = {"source": src, "image": img, "repetition": _rep_dict(rep)}
         if square_cx is None:
-            sq = find_squares(img, k, len(img) // 2)
+            # a square has exponent 2 > beta, so freeness just passed on this
+            # image leaves it no square of period >= n
+            hi = min(n - 1, len(img) // 2) if clean else len(img) // 2
+            sq = find_squares(img, k, hi) if k <= hi else None
             if sq:
                 square_cx = {"source": src, "image": img, "repetition": _rep_dict(sq[0])}
-        dir_factors |= factors(img, d)
+        if d <= len(img):
+            dir_factors |= factors(img, d)
         if scan_cx is None:
             hit = _scan_image_centers(img, scan_dyn)
             if hit is not None:
@@ -437,11 +424,8 @@ def certify_morphic_tree_coloring(
                     "repetition": _rep_dict(rep),
                 }
 
-    dir_cx = None
-    for f in sorted(dir_factors):
-        if f[::-1] in dir_factors:
-            dir_cx = {"factor": f, "reversal": f[::-1]}
-            break
+    pair = _reversal_pair(dir_factors)
+    dir_cx = None if pair is None else {"factor": pair[0], "reversal": pair[1]}
 
     if bounds_error is not None and not any((free_cx, square_cx, scan_cx, dir_cx)):
         raise bounds_error

@@ -146,9 +146,12 @@ def iter_powerfree_ternary(length: int):
     yield from _free_ternary_words(length)
 
 
-def generate_powerfree_ternary(length: int, margin: int = 50) -> str:
+_MARGIN = 50
+
+
+def generate_powerfree_ternary(length: int) -> str:
     """The lexicographically least (7/4+)-free ternary word of the given
-    length that extends to a (7/4+)-free word `margin` symbols longer.
+    length that extends to a (7/4+)-free word _MARGIN symbols longer.
 
     The lookahead margin makes the output a prefix of the result for any
     larger length (checked as a property test), so generation is
@@ -156,7 +159,7 @@ def generate_powerfree_ternary(length: int, margin: int = 50) -> str:
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    word = next(_free_ternary_words(length + margin), None)
+    word = next(_free_ternary_words(length + _MARGIN), None)
     if word is None:
         raise RuntimeError("no extendable power-free word found; margin too small")
     return word[:length]

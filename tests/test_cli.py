@@ -1,12 +1,13 @@
 """Exit-code contract and output format for the command-line interface."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from nonrep.cli import main
 from nonrep.graphs import Graph, stacked_triangulation
-from nonrep.words import generate_powerfree_ternary
+from nonrep.words import Morphism, generate_powerfree_ternary
 from test_search import recursion_headroom
 from test_words import naive_threshold_free
 
@@ -101,6 +102,46 @@ def test_treecert_certify_fail(capsys, tmp_path):
     out = capsys.readouterr().out
     assert rc == 1
     assert json.loads(out)["passed"] is False
+
+
+def _certify_short_window(capsys, tmp_path, table, args):
+    """Run treecert certify on a morphism table whose images are shorter than
+    the scan needs; return the JSON certificate after checking exit code 1."""
+    f = tmp_path / "morphism.txt"
+    f.write_text(table)
+    rc = main(["treecert", "certify", "--morphism", str(f), *args])
+    captured = capsys.readouterr()
+    assert rc == 1, captured.err
+    doc = json.loads(captured.out)
+    assert doc["passed"] is False
+    # the freeness counterexample is genuine, by slicing
+    cx = doc["checks"][0]["counterexample"]
+    images = Morphism.from_text(table).images
+    assert cx["image"] == "".join(images[int(c)] for c in cx["source"])
+    rep = cx["repetition"]
+    start, length, p = rep["start"], rep["length"], rep["period"]
+    factor = cx["image"][start : start + length]
+    assert len(factor) == length and factor[p:] == factor[:-p]
+    assert p >= doc["n"] and Fraction(length, p) > Fraction(doc["beta"])
+    return doc
+
+
+def test_treecert_square_range_past_image_exit_1(capsys, tmp_path):
+    # k = 3 exceeds half the 4-symbol images: no square period fits
+    doc = _certify_short_window(
+        capsys, tmp_path, "0 -> 00\n1 -> 01\n2 -> 10\n",
+        ["--k", "3", "--beta", "3/2", "--n", "1", "--d", "2", "--factor-len", "2"],
+    )
+    assert doc["checks"][1]["counterexample"] == {"factor": "00", "reversal": "00"}
+
+
+def test_treecert_directedness_window_past_image_exit_1(capsys, tmp_path):
+    # d = 3 exceeds the 2-symbol images: they have no factor of length d
+    doc = _certify_short_window(
+        capsys, tmp_path, "0 -> 0\n1 -> 0\n2 -> 0\n",
+        ["--k", "1", "--beta", "19/10", "--n", "1", "--d", "3", "--factor-len", "2"],
+    )
+    assert doc["checks"][1]["passed"] and doc["checks"][1]["params"]["factors_of_length_d"] == 0
 
 
 def test_treecert_bad_factor_len_exit_2(capsys):

@@ -114,7 +114,7 @@ def test_leveled_outerplanar_examples():
     assert fan.n == 4 and fan.edge_count == 5
     assert leveled_outerplanar(2, 2).n == 7
     with pytest.raises(ValueError):
-        leveled_outerplanar(10, 10, max_vertices=1000)
+        leveled_outerplanar(10, 10)
 
 
 def test_leveled_outerplanar_child_paths():

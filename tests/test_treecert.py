@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonrep.words import G2, G5, Morphism, PowerFreeSpec, apply_morphism, iter_powerfree_ternary
+from nonrep import treecert
 from nonrep.repetitions import Repetition
 from nonrep.treecert import (
     BranchCheckSpec,
     ConfigurationError,
+    _dynamic_periods,
     _scan_image_centers,
     analyze_morphism_structure,
     build_level_tree,
@@ -218,19 +220,72 @@ def test_certify_factor_len_too_small():
     assert cert.passed
 
 
-def test_certify_small_period_max_consistency():
-    bad = BranchCheckSpec(2, PowerFreeSpec(Fraction(19, 10), min_period=2), 3, 25)
-    with pytest.raises(ConfigurationError):
-        certify_morphic_tree_coloring(G2, bad, 8)
-    good = BranchCheckSpec(2, PowerFreeSpec(Fraction(19, 10), min_period=2), 3, 19)
-    assert certify_morphic_tree_coloring(G2, good, 8).passed
+@pytest.mark.parametrize("m", [G2, G5], ids=["g2", "g5"])
+def test_crossing_periods_are_those_the_run_bound_leaves_open(m, monkeypatch):
+    # the certificate checks directly exactly the periods in [k, p*) whose
+    # structural run bound reaches p - (d - 1); an empty enumeration keeps the
+    # certificate to its period lists
+    monkeypatch.setattr(treecert, "iter_powerfree_ternary", lambda length: iter(()))
+    structure = analyze_morphism_structure(m)
+    for beta in (Fraction(3, 2), Fraction(7, 4), Fraction(19, 10), Fraction(83, 42)):
+        for k in range(1, 7):
+            for d in range(1, 25):
+                p_star = directedness_threshold(beta, d)
+                want = [p for p in range(k, p_star) if structure.run_bound(p) >= p - (d - 1)]
+                opened = _dynamic_periods(structure, k, lambda p: p - (d - 1), 1)
+                assert [p for p in opened if p < p_star] == want, (beta, k, d)
+                spec = BranchCheckSpec(k, PowerFreeSpec(beta, min_period=k), d)
+                if beta <= Fraction(7, 4):
+                    # freeness bounds need beta > 7/4: no minimal factor length
+                    with pytest.raises(ConfigurationError):
+                        certify_morphic_tree_coloring(m, spec)
+                    continue
+                doc = json.loads(certify_morphic_tree_coloring(m, spec).to_json())
+                assert doc["checks"][3]["params"]["dynamic_crossing_periods"] == want
 
 
 def test_branch_check_spec_invariants():
     with pytest.raises(ValueError):
         BranchCheckSpec(0, PowerFreeSpec(Fraction(19, 10)), 3)
     with pytest.raises(ValueError):
-        BranchCheckSpec(3, PowerFreeSpec(Fraction(19, 10)), 3, 1)
+        BranchCheckSpec(3, PowerFreeSpec(Fraction(19, 10)), 0)
+
+
+def _images(alphabet):
+    return st.integers(1, 4).flatmap(
+        lambda w: st.lists(st.text(alphabet=alphabet, min_size=w, max_size=w), min_size=3, max_size=3)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["01", "012"]).flatmap(_images),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(2, 5),
+    st.sampled_from([Fraction(5, 4), Fraction(3, 2), Fraction(7, 4), Fraction(19, 10)]),
+)
+def test_center_scan_image_squares_oracle(images, k, n, d, factor_len, beta):
+    # the image-square part of center-scan against slice comparison on every
+    # enumerated image: none when the check passes, and otherwise the least
+    # (start, period) square of the first image that has one
+    m = Morphism(tuple(images))
+    spec = BranchCheckSpec(k, PowerFreeSpec(beta, min_period=n), d)
+    try:
+        cert = certify_morphic_tree_coloring(m, spec, factor_len)
+    except ConfigurationError:
+        return
+    scan = cert.checks[3]
+    imgs = [apply_morphism(m, src) for src in iter_powerfree_ternary(factor_len)]
+    squares = [slice_squares(img, k, len(img) // 2) for img in imgs]
+    if scan.passed:
+        assert not any(squares)
+    elif "center" not in scan.counterexample:
+        first = next(i for i, sq in enumerate(squares) if sq)
+        rep = scan.counterexample["repetition"]
+        assert scan.counterexample["image"] == imgs[first]
+        assert (rep["start"], rep["period"]) == squares[first][0]
 
 
 def test_build_level_tree_examples():

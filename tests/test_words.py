@@ -17,6 +17,7 @@ from nonrep.words import (
     generate_powerfree_ternary,
     iter_powerfree_ternary,
 )
+from nonrep.repetitions import is_power_free
 
 ternary_words = st.text(alphabet="012", max_size=30)
 
@@ -94,11 +95,10 @@ def test_apply_morphism_distributes(u, v):
 
 def test_powerfree_spec():
     spec = PowerFreeSpec(Fraction(7, 4))
-    assert spec.violates(8, 4)  # exponent 2 > 7/4
-    assert not spec.violates(7, 4)  # exactly 7/4, strict
-    assert PowerFreeSpec(Fraction(7, 4), strict=False).violates(7, 4)
-    assert not spec.violates(10, 5) or True
-    assert not PowerFreeSpec(Fraction(2), min_period=3).violates(4, 2)
+    assert spec.violation_length(4) == 8  # exponent 2 > 7/4; exactly 7/4 passes, strict
+    assert PowerFreeSpec(Fraction(7, 4), strict=False).violation_length(4) == 7
+    # periods below min_period are exempt, so the square 0101 passes
+    assert is_power_free("0101", PowerFreeSpec(Fraction(2), min_period=3, strict=False)) is None
     with pytest.raises(ValueError):
         PowerFreeSpec(Fraction(1, 2))
     with pytest.raises(ValueError):
