@@ -242,7 +242,7 @@ def criterion_8() -> CriterionResult:
     base = stacked_triangulation(0)
     for t in range(3):
         big = stacked_triangulation(t + 2)
-        mapping = u_witness(0, 0, t).mapping or {}
+        mapping = u_witness(0, 0, t)
         hosts = set(mapping.values())
         good = (
             len(hosts) == 2 ** t + 1
@@ -387,6 +387,9 @@ _CRITERIA = {
 
 def run_all(numbers=None) -> list[CriterionResult]:
     numbers = sorted(numbers) if numbers else sorted(_CRITERIA)
+    unknown = [i for i in numbers if i not in _CRITERIA]
+    if unknown:
+        raise ValueError(f"unknown criterion numbers {unknown} (known: {sorted(_CRITERIA)})")
     return [_CRITERIA[i]() for i in numbers]
 
 

@@ -3,18 +3,32 @@ brute-force non-repetitive coloring verifier that serves as the global oracle
 for the rest of the toolkit.
 
 Planarity of the generated families is guaranteed by construction (face-tracked
-stacking, recursive gluing); no general planarity test is included.
+stacking, the closed form of U_i); no general planarity test is included.  The
+fan and U_t witnesses are built from the stacking rounds, not searched for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .repetitions import Repetition, _tail_hit
 
 
 class SearchExhausted(Exception):
     """A guarded enumeration hit its budget before reaching a verdict."""
+
+
+def _json_list(value, key: str, size: int | None = None, ints: bool = False) -> list:
+    """value, checked to be a list (of length size, if given; of ints, if
+    ints); ValueError naming the graph JSON key otherwise."""
+    if (
+        not isinstance(value, list)
+        or size not in (None, len(value))
+        or (ints and any(type(v) is not int for v in value))
+    ):
+        what = f"{size or 'any number of'} {'ints' if ints else 'items'}"
+        raise ValueError(f"graph JSON {key!r}: {value!r} is not a list of {what}")
+    return value
 
 
 class Graph:
@@ -75,19 +89,33 @@ class Graph:
         return d
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Graph":
+    def from_json_dict(cls, d) -> "Graph":
+        """Inverse of to_json_dict; raises ValueError on a document of the
+        wrong shape."""
+        if not isinstance(d, dict) or "n" not in d or "edges" not in d:
+            raise ValueError("graph JSON must be an object with 'n' and 'edges'")
+        if type(d["n"]) is not int or d["n"] < 0:
+            raise ValueError(f"graph JSON 'n' must be a non-negative int, not {d['n']!r}")
         g = cls(d["n"])
-        for u, v in d["edges"]:
-            g.add_edge(u, v)
+        for e in _json_list(d["edges"], "edges"):
+            g.add_edge(*_json_list(e, "edges", 2, ints=True))
         if "construction" in d:
-            g.construction_log = [(v, tuple(nb)) for v, nb in d["construction"]]
+            g.construction_log = []
+            for r in _json_list(d["construction"], "construction"):
+                v, nb = _json_list(r, "construction", 2)
+                if type(v) is not int:
+                    raise ValueError(f"graph JSON 'construction': {v!r} is not an int")
+                g.construction_log.append((v, tuple(_json_list(nb, "construction", ints=True))))
         if "faces" in d:
-            g.faces = [tuple(f) for f in d["faces"]]
+            faces = _json_list(d["faces"], "faces")
+            g.faces = [tuple(_json_list(f, "faces", 3, ints=True)) for f in faces]
         if "main_edge" in d:
-            g.main_edge = tuple(d["main_edge"])
+            g.main_edge = tuple(_json_list(d["main_edge"], "main_edge", 2, ints=True))
         if "levels" in d:
-            g.levels = list(d["levels"])
+            g.levels = list(_json_list(d["levels"], "levels", ints=True))
         g.family = d.get("family")
+        if g.family is not None and not isinstance(g.family, str):
+            raise ValueError("graph JSON 'family' must be a string")
         return g
 
     def __eq__(self, other):
@@ -154,33 +182,17 @@ def stacked_triangulation(i: int) -> Graph:
 
 def outerplanar_U(i: int) -> Graph:
     """The i-th graph of the recursive outerplanar family: an edge at level 0,
-    then repeatedly glue two copies end to end and close them with a new main
-    edge.  |V| = 2^i + 1, |E| = 2^(i+1) - 1."""
+    then two copies of U_(i-1) glued end to end and closed by a new main edge.
+    Numbered along its Hamiltonian path 0..2^i, it has the closed form: the
+    edge (a, a + 2^s) for every scale s <= i and every multiple a of 2^s below
+    2^i, with main edge (0, 2^i).  |V| = 2^i + 1, |E| = 2^(i+1) - 1."""
     if i < 0:
         raise ValueError("need i >= 0")
-    g = Graph(2)
-    g.add_edge(0, 1)
-    g.main_edge = (0, 1)
-    for _ in range(i):
-        a, b = g.main_edge
-        n = g.n
-        # second copy: vertex v maps to n + v, except b's twin c is identified
-        # with the first copy's b
-        c, d = g.main_edge
-
-        def remap(v, c=c):
-            if v == c:
-                return b
-            return n + v - (1 if v > c else 0)
-
-        edges = g.edges()
-        for _ in range(g.n - 1):
-            g.add_vertex()
-        for u, v in edges:
-            g.add_edge(remap(u), remap(v))
-        new_main = (a, remap(d))
-        g.add_edge(*new_main)
-        g.main_edge = new_main
+    g = Graph(2**i + 1)
+    for s in range(i + 1):
+        for a in range(0, 2**i, 2**s):
+            g.add_edge(a, a + 2**s)
+    g.main_edge = (0, 2**i)
     g.family = "outeru"
     return g
 
@@ -288,74 +300,31 @@ def fan_witness(i: int, edge: tuple[int, int], t: int) -> list[int]:
     return witnesses
 
 
-@dataclass
-class WitnessSearch:
-    """Result of a budgeted subgraph-witness search."""
-
-    mapping: dict[int, int] | None
-    exhausted: bool
-    nodes: int
-
-
-_U_WITNESS_NODE_BUDGET = 2_000_000
-
-
-def u_witness(i: int, x: int, t: int) -> WitnessSearch:
-    """Search the (i+t+2)-th stacked triangulation for a copy of the t-th
-    outerplanar family graph, disjoint from the i-th triangulation, with every
-    copy vertex adjacent to x.  Returns the template->host mapping, or flags
-    exhaustion when _U_WITNESS_NODE_BUDGET search nodes run out."""
-    small_n = stacked_triangulation(i).n
-    if not 0 <= x < small_n:
+def u_witness(i: int, x: int, t: int) -> dict[int, int]:
+    """A copy of the t-th outerplanar family graph inside the (i+t+2)-th
+    stacked triangulation, disjoint from the i-th one, with every copy vertex
+    adjacent to x; returned as the template -> host map.  Built by stacking:
+    two fan witnesses of an edge at x span a face with x, and each later round
+    puts a vertex into every face (x, p, q) between consecutive hosts, so the
+    hosts run along U_t's path numbering."""
+    small = stacked_triangulation(i)
+    if not 0 <= x < small.n:
         raise ValueError(f"vertex {x} not in the level-{i} triangulation")
-    big = stacked_triangulation(i + t + 2)
-    tmpl = outerplanar_U(t)
-    cand = sorted(v for v in big.adj[x] if v >= small_n)
-    tmpl_edges = tmpl.edges()
-    # assign template vertices in an order that keeps partial maps connected
-    order = sorted(range(tmpl.n), key=lambda v: -len(tmpl.adj[v]))
-    nodes = 0
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def rec(idx: int) -> bool | None:
-        nonlocal nodes
-        if idx == len(order):
-            return True
-        v = order[idx]
-        for host in cand:
-            nodes += 1
-            if nodes > _U_WITNESS_NODE_BUDGET:
-                return None
-            if host in used:
-                continue
-            ok = all(
-                big.has_edge(host, mapping[u])
-                for u in tmpl.adj[v]
-                if u in mapping
-            )
-            if not ok:
-                continue
-            mapping[v] = host
-            used.add(host)
-            res = rec(idx + 1)
-            if res:
-                return True
-            del mapping[v]
-            used.discard(host)
-            if res is None:
-                return None
-        return False
-
-    res = rec(0)
-    if res:
-        for u, v in tmpl_edges:
-            if not big.has_edge(mapping[u], mapping[v]):
-                raise RuntimeError(
-                    f"witness mapping sends template edge ({u}, {v}) to a non-edge"
-                )
-        return WitnessSearch(dict(mapping), False, nodes)
-    return WitnessSearch(None, res is None, nodes)
+    if t < 0:
+        raise ValueError("need t >= 0")
+    big, round_maps = _stack_rounds(i + t + 2)
+    hosts = fan_witness(i, (x, min(small.adj[x])), 2)
+    for r in range(i + 2, i + t + 2):
+        inserted = round_maps[r]
+        nxt = [hosts[0]]
+        for p, q in zip(hosts, hosts[1:]):
+            nxt += [inserted[frozenset((x, p, q))], q]
+        hosts = nxt
+    mapping = dict(enumerate(hosts))
+    for u, v in outerplanar_U(t).edges():
+        if not big.has_edge(mapping[u], mapping[v]):
+            raise RuntimeError(f"witness mapping sends template edge ({u}, {v}) to a non-edge")
+    return mapping
 
 
 def verify_coloring(

@@ -201,6 +201,40 @@ def test_graph_verify_missing_file():
     assert main(["graph", "verify", "--graph", "/no/such.json", "--colors", "0", "--k", "1"]) == 2
 
 
+def assert_usage_error(capsys, argv):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and err.startswith("error:") and "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"edges": []},
+        {"n": "2", "edges": []},
+        {"n": -1, "edges": []},
+        {"n": True, "edges": []},
+        {"n": 1, "edges": {}},
+        {"n": 2, "edges": [0]},
+        {"n": 2, "edges": [[0]]},
+        {"n": 2, "edges": [["0", "1"]]},
+        {"n": 1, "edges": [], "construction": [[0]]},
+        {"n": 1, "edges": [], "construction": [["0", []]]},
+        {"n": 1, "edges": [], "construction": [[0, 1]]},
+        {"n": 1, "edges": [], "faces": [[0, 0]]},
+        {"n": 1, "edges": [], "main_edge": [0]},
+        {"n": 1, "edges": [], "levels": "0"},
+        {"n": 1, "edges": [], "family": 3},
+    ],
+)
+def test_graph_json_wrong_shape_exit_2(capsys, tmp_path, doc):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(doc))
+    assert_usage_error(capsys, ["graph", "verify", "--graph", str(f), "--colors", "0", "--k", "1"])
+    assert_usage_error(capsys, ["search", "pik", "--graph", str(f), "--k", "1"])
+
+
 def test_search_pik(capsys):
     assert main(["search", "pik", "--n", "4", "--k", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -220,6 +254,11 @@ def test_search_tree_witness(capsys):
     assert main(["search", "tree-witness", "--k", "1", "--colors", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["graph"]["n"] == 4
+
+
+def test_suite_unknown_criterion_exit_2(capsys):
+    assert_usage_error(capsys, ["suite", "run", "--only", "10"])
+    assert_usage_error(capsys, ["suite", "run", "--only", "1,0,12"])
 
 
 def test_suite_only_flag(capsys):

@@ -81,6 +81,38 @@ def test_outerplanar_U_examples():
         assert ui.has_edge(a, d)
 
 
+def glued_outerplanar_U(i: int) -> Graph:
+    """Reference builder by the recursive definition: glue a copy of U_(i-1)
+    to itself, the copy's first main-edge end identified with the original's
+    second, and close the two with a new main edge."""
+    g = Graph(2)
+    g.add_edge(0, 1)
+    g.main_edge = (0, 1)
+    for _ in range(i):
+        a, b = g.main_edge
+        n = g.n
+
+        def remap(v):
+            if v == a:
+                return b
+            return n + v - (1 if v > a else 0)
+
+        edges = g.edges()
+        for _ in range(g.n - 1):
+            g.add_vertex()
+        for u, v in edges:
+            g.add_edge(remap(u), remap(v))
+        g.main_edge = (a, remap(b))
+        g.add_edge(*g.main_edge)
+    g.family = "outeru"
+    return g
+
+
+def test_outerplanar_U_matches_glued_reference():
+    for i in range(11):
+        assert outerplanar_U(i).to_json_dict() == glued_outerplanar_U(i).to_json_dict(), i
+
+
 def test_plus4_gadget_counts():
     g = plus4_gadget(path_graph(1), 1)  # h = K1
     assert g.n == 6 and g.edge_count == 8
@@ -160,20 +192,25 @@ def test_fan_witness_all_edges_small():
 
 
 def test_u_witness_examples():
-    for t in (0, 1):
-        res = u_witness(0, 0, t)
-        assert res.mapping is not None and not res.exhausted
-        template = outerplanar_U(t)
-        host = stacked_triangulation(0 + t + 2)
-        base_n = stacked_triangulation(0).n
-        image = res.mapping
-        assert len(image) == template.n == 2**t + 1
-        assert len(set(image.values())) == template.n
-        for v in image.values():
-            assert v >= base_n
-            assert host.has_edge(v, 0)
-        for a, b in template.edges():
-            assert host.has_edge(image[a], image[b])
+    for i in range(3):
+        base_n = stacked_triangulation(i).n
+        for t in range(5 - i):
+            host = stacked_triangulation(i + t + 2)
+            template = glued_outerplanar_U(t)
+            for x in range(base_n):
+                image = u_witness(i, x, t)
+                assert sorted(image) == list(range(2**t + 1))
+                assert len(set(image.values())) == template.n
+                for v in image.values():
+                    assert v >= base_n
+                    assert host.has_edge(v, x)
+                for a, b in template.edges():
+                    assert host.has_edge(image[a], image[b])
+    with pytest.raises(ValueError):
+        u_witness(0, 0, -1)
+    for i in range(3):
+        with pytest.raises(ValueError):
+            u_witness(i, stacked_triangulation(i).n, 1)
 
 
 def enumerate_paths(g: Graph, max_vertices: int, max_paths: int | None = None):
