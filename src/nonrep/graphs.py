@@ -1,6 +1,6 @@
-"""Graph data model, the planar/outerplanar family generators, and the
-brute-force non-repetitive coloring verifier that serves as the global oracle
-for the rest of the toolkit.
+"""Graph data model, the planar/outerplanar family generators, the
+square-through-a-vertex kernel, and the non-repetitive coloring verifier that
+serves as the global oracle for the rest of the toolkit.
 
 Planarity of the generated families is guaranteed by construction (face-tracked
 stacking, the closed form of U_i); no general planarity test is included.  The
@@ -9,6 +9,7 @@ fan and U_t witnesses are built from the stacking rounds, not searched for.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .repetitions import Repetition, _tail_hit
@@ -276,21 +277,23 @@ def check_3tree(g: Graph) -> int | None:
     return None
 
 
+# the witness builders only read the rounds, so they share one build per count
+_shared_rounds = functools.lru_cache(maxsize=8)(_stack_rounds)
+
+
 def fan_witness(i: int, edge: tuple[int, int], t: int) -> list[int]:
     """t vertices outside the i-th stacked triangulation, forming a path in the
     (i+t)-th one, each adjacent to both endpoints of the given edge.  Built by
     stacking into the face spanned by the edge and the previous witness."""
-    if t < 1:
-        raise ValueError("need t >= 1")
+    if i < 0 or t < 1:
+        raise ValueError("need i >= 0 and t >= 1")
     x, y = edge
-    g, round_maps = _stack_rounds(i + t)
-    base = stacked_triangulation(i)
-    if not base.has_edge(x, y):
+    _, round_maps = _shared_rounds(i + t)
+    # first step: least third vertex among the level-i faces (the ones round i
+    # subdivides) containing the edge; two vertices share one only along an edge
+    thirds = [v for f in round_maps[i] if x in f and y in f for v in f if v not in (x, y)]
+    if x == y or not thirds:
         raise ValueError(f"edge {edge} not in the level-{i} triangulation")
-    # first step: least third vertex among level-i faces containing the edge
-    thirds = [v for f in base.faces if x in f and y in f for v in f if v not in (x, y)]
-    if not thirds:
-        raise ValueError(f"edge {edge} borders no face of the level-{i} triangulation")
     prev = min(thirds)
     witnesses = []
     for r in range(i, i + t):
@@ -307,13 +310,13 @@ def u_witness(i: int, x: int, t: int) -> dict[int, int]:
     two fan witnesses of an edge at x span a face with x, and each later round
     puts a vertex into every face (x, p, q) between consecutive hosts, so the
     hosts run along U_t's path numbering."""
-    small = stacked_triangulation(i)
-    if not 0 <= x < small.n:
+    if i < 0 or t < 0:
+        raise ValueError("need i >= 0 and t >= 0")
+    if not 0 <= x < 2 * 3**i + 2:
         raise ValueError(f"vertex {x} not in the level-{i} triangulation")
-    if t < 0:
-        raise ValueError("need t >= 0")
-    big, round_maps = _stack_rounds(i + t + 2)
-    hosts = fan_witness(i, (x, min(small.adj[x])), 2)
+    big, round_maps = _shared_rounds(i + t + 2)
+    # later rounds number their vertices after G_i's: x's least neighbour is in G_i
+    hosts = fan_witness(i, (x, min(big.adj[x])), 2)
     for r in range(i + 2, i + t + 2):
         inserted = round_maps[r]
         nxt = [hosts[0]]
@@ -327,31 +330,93 @@ def u_witness(i: int, x: int, t: int) -> dict[int, int]:
     return mapping
 
 
-def verify_coloring(
-    g: Graph,
-    coloring: Coloring,
-    k: int,
-    max_path: int,
-    max_paths: int | None = None,
-) -> tuple[tuple[int, ...], Repetition] | None:
-    """None if no simple path with at most max_path vertices induces a color
-    square of period >= k; otherwise the lexicographically least violating path
-    with the (smallest-period) repetition ending at its last vertex.
+def _complete(adj, colors, on_path, v: int, seq: list[int], h: int) -> bool:
+    """Is there an off-path walk from v reading seq[h-1], ..., seq[L-h]?"""
+    walk: list[int] = []
+    stack = [iter(adj[v])]
+    while stack:
+        want = seq[h - 1 - len(walk)]
+        for u in stack[-1]:
+            if colors[u] == want and not on_path[u]:
+                break
+        else:
+            stack.pop()
+            if walk:
+                on_path[walk.pop()] = False
+            continue
+        if len(seq) + len(walk) + 1 == 2 * h:
+            return True
+        walk.append(u)
+        on_path[u] = True
+        stack.append(iter(adj[u]))
+    return False
 
-    Exhaustive whenever max_path >= g.n.  Paths are explored in lexicographic
-    order, and each extension asks only whether a square ends at the new tail:
-    one of period p does exactly when the match run at period p reaches p.
+
+def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int, pmax: int) -> bool:
+    """True if some simple path through v, over the colored vertices
+    (colors[u] >= 0), reads a color square of period h with k <= h <= pmax
+    (one spans 2h colored vertices, so pmax past half their count is moot).
+
+    Read a square path x_0, ..., x_{2h-1} through v = x_j from the end that
+    puts v in its second half (j >= h).  Then R = x_j, x_{j-1}, ..., x_0, the
+    part from v back to the start, holds the whole first half, and with
+    L = |R| (h < L <= 2h) the path is a square exactly when
+      - R has period h: in the terms of `repetitions`, the match run at
+        period h ending at R's tail is L - h, that is, it never broke; and
+      - the 2h - L vertices past v read the fixed colors
+        R[h-1], R[h-2], ..., R[L-h].
+    So one walk grows R out of v (an explicit stack of neighbour iterators)
+    and keeps the periods still alive at each depth: appending a vertex keeps
+    an alive h when its color equals R[L-h] (the run grows by one; otherwise
+    it drops to 0 and h dies for good), and makes h = L alive when L <= pmax
+    and the color equals R[0].  An alive h with 2h == L is a square; any
+    other alive h is completed by a narrow walk from v that follows only
+    off-path neighbours of the next required color.  R stops growing once no
+    period is alive and no later one can join (max(L, k) > pmax).
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if max_path < 2:
-        raise ValueError("need max_path >= 2")
-    if len(coloring.colors) != g.n:
-        raise ValueError("coloring size mismatch")
-    colors = coloring.colors
+    adj = g.adj
+    on_path = [False] * g.n
+    seq = [colors[v]]
+    on_path[v] = True
+    stack = [(v, iter(adj[v]), [])]  # per path vertex: neighbours left, alive periods
+    while stack:
+        _, nbrs, alive = stack[-1]
+        for u in nbrs:
+            if colors[u] >= 0 and not on_path[u]:
+                break
+        else:
+            on_path[stack.pop()[0]] = False
+            seq.pop()
+            continue
+        L = len(seq)
+        c = colors[u]
+        # an alive h has 2h > L: at 2h == L it was a square
+        grown = [h for h in alive if seq[L - h] == c] if alive else []
+        if k <= L <= pmax and seq[0] == c:
+            grown.append(L)
+        seq.append(c)
+        on_path[u] = True
+        L += 1
+        for h in grown:
+            if 2 * h == L or _complete(adj, colors, on_path, v, seq, h):
+                return True
+        if grown or max(L, k) <= pmax:  # h = max(L, k) joins next at best
+            stack.append((u, iter(adj[u]), grown))
+        else:
+            on_path[u] = False
+            seq.pop()
+    return False
+
+
+def _least_violation(g: Graph, colors, k: int, max_path: int, max_paths: int | None):
+    """verify_coloring's answer by a lexicographic path DFS, raising
+    SearchExhausted after max_paths path extensions.  Each extension asks only
+    whether a square ends at the new tail: one of period p does exactly when
+    the match run at period p reaches p."""
     pmax = max_path // 2
     need = range(pmax + 1)  # a square of period p needs a run of p matches
     adjs = [sorted(a) for a in g.adj]
+    stop = 0 if max_paths is None else max_paths + 1  # 0: unbudgeted, counts start at 1
     visited_paths = 0
     on_path = [False] * g.n
     for start in range(g.n):
@@ -379,7 +444,7 @@ def verify_coloring(
             seq.append(colors[u])
             on_path[u] = True
             visited_paths += 1
-            if max_paths is not None and visited_paths > max_paths:
+            if visited_paths == stop:
                 raise SearchExhausted(f"path budget {max_paths} exceeded")
             hi = (m + 1) // 2  # the longest period of a square ending at m
             if hi >= k:
@@ -393,4 +458,46 @@ def verify_coloring(
                 on_path[u] = False
                 path.pop()
                 seq.pop()
+    return None
+
+
+def verify_coloring(
+    g: Graph,
+    coloring: Coloring,
+    k: int,
+    max_path: int,
+    max_paths: int | None = None,
+) -> tuple[tuple[int, ...], Repetition] | None:
+    """None if no simple path with at most max_path vertices induces a color
+    square of period >= k; otherwise the lexicographically least violating path
+    with the (smallest-period) repetition ending at its last vertex.
+
+    Exhaustive whenever max_path >= g.n.  Three steps: (1) the probe runs
+    the lexicographic path DFS for g.n path extensions and returns its verdict
+    if it reaches one; (2) the sweep reveals the colors in vertex order and
+    asks at each vertex v whether a square path of period k..max_path // 2
+    runs through v; (3) only if one does, the DFS runs again without the
+    probe's budget to name the least violating path.  The sweep is exact: the
+    last revealed vertex of a square path lies on it, and a path of at most
+    max_path vertices holds a square of period >= k exactly when a square path
+    of 2h <= max_path vertices with h >= k exists.  max_paths bounds the path
+    extensions of each DFS run, not the sweep: a clean verdict never raises
+    SearchExhausted, a violation does when its path lies past max_paths.
+    """
+    if k < 1 or max_path < 1:
+        raise ValueError("need k >= 1 and max_path >= 1")
+    if len(coloring.colors) != g.n:
+        raise ValueError("coloring size mismatch")
+    if max_path < 2 or g.n < 2:
+        return None  # a square spans at least two vertices
+    probe = g.n if max_paths is None else min(g.n, max_paths)
+    try:
+        return _least_violation(g, coloring.colors, k, max_path, probe)
+    except SearchExhausted:
+        pass
+    revealed = [-1] * g.n
+    for v, c in enumerate(coloring.colors):
+        revealed[v] = c
+        if _square_through_vertex(g, revealed, v, k, min(max_path, v + 1) // 2):
+            return _least_violation(g, coloring.colors, k, max_path, max_paths)
     return None

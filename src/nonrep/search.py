@@ -7,7 +7,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, Coloring, path_graph, verify_coloring
+from .graphs import Graph, Coloring, _square_through_vertex, path_graph, verify_coloring
 from .repetitions import _tail_hit
 
 
@@ -39,88 +39,6 @@ class PiResult:
     @property
     def value(self) -> int | None:
         return self.lower if self.lower == self.upper else None
-
-
-def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int) -> bool:
-    """True if some simple path through v, over the vertices colored so far,
-    reads a color square of period >= k.  A violating path always contains a
-    square that passes through the newly colored vertex, and that square is
-    itself a path, so it suffices to find such a square.
-
-    Read a square path x_0, ..., x_{2h-1} through v = x_j from the end that
-    puts v in its second half (j >= h).  Then R = x_j, x_{j-1}, ..., x_0, the
-    part from v back to the start, holds the whole first half, and with
-    L = |R| (h < L <= 2h) the path is a square exactly when
-      - R has period h: in the terms of `repetitions`, the match run at
-        period h ending at R's tail is L - h, that is, it never broke; and
-      - the 2h - L vertices past v read the fixed colors
-        R[h-1], R[h-2], ..., R[L-h].
-    So one walk grows R out of v (an explicit stack of neighbour iterators)
-    and keeps the periods still alive at each depth: appending a vertex keeps
-    an alive h when its color equals R[L-h] (the run grows by one; otherwise
-    it drops to 0 and h dies for good), and makes h = L alive when the color
-    equals R[0].  An alive h with 2h == L is a square; any other alive h is
-    completed by a narrow walk from v that follows only off-path neighbours
-    of the next required color.  R stops growing once no period is alive and
-    no later one fits in the colored vertices.
-    """
-    adj = g.adj
-    ncolored = sum(c >= 0 for c in colors)
-    on_path = [False] * g.n
-
-    def complete(seq: list[int], h: int) -> bool:
-        """Is there an off-path walk from v reading seq[h-1], ..., seq[L-h]?"""
-        walk: list[int] = []
-        stack = [iter(adj[v])]
-        while stack:
-            want = seq[h - 1 - len(walk)]
-            for u in stack[-1]:
-                if colors[u] == want and not on_path[u]:
-                    break
-            else:
-                stack.pop()
-                if walk:
-                    on_path[walk.pop()] = False
-                continue
-            if len(seq) + len(walk) + 1 == 2 * h:
-                return True
-            walk.append(u)
-            on_path[u] = True
-            stack.append(iter(adj[u]))
-        return False
-
-    # a square of period h >= k spans 2h colored vertices
-    if 2 * k > ncolored:
-        return False
-    seq = [colors[v]]
-    on_path[v] = True
-    stack = [(v, iter(adj[v]), [])]  # per path vertex: neighbours left, alive periods
-    while stack:
-        _, nbrs, alive = stack[-1]
-        for u in nbrs:
-            if colors[u] >= 0 and not on_path[u]:
-                break
-        else:
-            on_path[stack.pop()[0]] = False
-            seq.pop()
-            continue
-        L = len(seq)
-        c = colors[u]
-        grown = [h for h in alive if 2 * h > L and seq[L - h] == c]
-        if L >= k and 2 * L <= ncolored and seq[0] == c:
-            grown.append(L)
-        seq.append(c)
-        on_path[u] = True
-        L += 1
-        for h in grown:
-            if 2 * h == L or complete(seq, h):
-                return True
-        if grown or 2 * max(L, k) <= ncolored:  # h = max(L, k) joins next at best
-            stack.append((u, iter(adj[u]), grown))
-        else:
-            on_path[u] = False
-            seq.pop()
-    return False
 
 
 def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiResult:
@@ -159,7 +77,7 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
             if nodes > budget.node_limit or time.monotonic() > deadline:
                 return None
             colors[v] = c
-            if _square_through_vertex(g, colors, v, k):
+            if _square_through_vertex(g, colors, v, k, (v + 1) // 2):  # vertices 0..v are colored
                 colors[v] = -1
             else:
                 used[v + 1] = max(used[v], c + 1)
@@ -172,12 +90,11 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
         if res is None:
             return PiResult(lower, None, None, True, nodes)
         if res is not False:
-            if g.n >= 2:
-                check = verify_coloring(g, res, k, g.n)
-                if check is not None:
-                    raise RuntimeError(
-                        f"pi_k search returned a witness coloring that the verifier rejects: {check}"
-                    )
+            check = verify_coloring(g, res, k, g.n)
+            if check is not None:
+                raise RuntimeError(
+                    f"pi_k search returned a witness coloring that the verifier rejects: {check}"
+                )
             return PiResult(ncolors, ncolors, res, False, nodes)
         lower = ncolors + 1
     # palette exhausted: the lower bound is proven, not a budget timeout

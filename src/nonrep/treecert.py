@@ -460,7 +460,7 @@ def certify_morphic_tree_coloring(
         CheckRecord(
             "threshold",
             True,
-            {"p_star": p_star, "scan_range": [k, p_star - 1]},
+            {"p_star": p_star, "scan_range": [k, p_star - 1] if k < p_star else []},
             None,
         ),
         CheckRecord(

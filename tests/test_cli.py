@@ -88,6 +88,7 @@ def test_treecert_certify_pass(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["passed"] is True and doc["p_star"] == 20 and doc["factor_len"] == 8
+    assert doc["checks"][2]["params"]["scan_range"] == [2, 19]
 
 
 def test_treecert_certify_fail(capsys, tmp_path):
@@ -133,6 +134,10 @@ def test_treecert_square_range_past_image_exit_1(capsys, tmp_path):
         ["--k", "3", "--beta", "3/2", "--n", "1", "--d", "2", "--factor-len", "2"],
     )
     assert doc["checks"][1]["counterexample"] == {"factor": "00", "reversal": "00"}
+    # p* = 2 <= k: the threshold step scans no period, written as []
+    threshold = doc["checks"][2]
+    assert threshold["name"] == "threshold"
+    assert threshold["params"] == {"p_star": 2, "scan_range": []}
 
 
 def test_treecert_directedness_window_past_image_exit_1(capsys, tmp_path):
@@ -195,6 +200,14 @@ def test_graph_verify_long_path(capsys, tmp_path):
     assert "Traceback" not in out + err and err == ""
     assert out.splitlines()[0] == "no violating path"
     assert "period=90" in out.splitlines()[1]
+
+
+def test_graph_verify_one_vertex(capsys, tmp_path):
+    f = tmp_path / "p1.json"
+    assert main(["graph", "gen", "--family", "path", "--n", "1", "--out", str(f)]) == 0
+    assert main(["graph", "verify", "--graph", str(f), "--colors", "0", "--k", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "no violating path\n" and "Traceback" not in captured.err
 
 
 def test_graph_verify_missing_file():

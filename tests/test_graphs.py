@@ -3,12 +3,13 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nonrep.graphs import (
     Coloring,
     Graph,
     SearchExhausted,
+    _square_through_vertex,
     check_3tree,
     fan_witness,
     leveled_outerplanar,
@@ -19,6 +20,7 @@ from nonrep.graphs import (
     u_witness,
     verify_coloring,
 )
+from nonrep.repetitions import Repetition
 
 
 def test_path_graph_examples():
@@ -163,6 +165,13 @@ def test_fan_witness_t1():
     w = fan_witness(0, (0, 1), 1)
     assert len(w) == 1 and w[0] >= 4
     assert g1.has_edge(w[0], 0) and g1.has_edge(w[0], 1)
+
+
+def test_fan_witness_rejects_non_edges():
+    # (0, 4) is an edge of G_1 but not of G_0; (4, 5) is no edge of G_1
+    for i, edge in ((0, (0, 0)), (0, (0, 4)), (0, (-1, 0)), (1, (4, 5)), (-1, (0, 1))):
+        with pytest.raises(ValueError):
+            fan_witness(i, edge, 1)
 
 
 def _check_fan(i, edge, t):
@@ -330,6 +339,115 @@ def test_verify_coloring_matches_naive_random_paths(n, k, data):
     assert (got is None) == (want is None)
     if got is not None:
         assert got[0] == want
+
+
+def _tail_repetition(g, coloring, path, k):
+    """The smallest-period square of period >= k ending at the path's last
+    vertex, by slicing."""
+    s = [coloring.colors[v] for v in path]
+    m = len(s)
+    p = next(p for p in range(k, m // 2 + 1) if s[m - 2 * p : m - p] == s[m - p :])
+    return Repetition(m - 2 * p, 2 * p, p)
+
+
+@st.composite
+def _colored_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n + 4)) if pairs else []
+    ncolors = draw(st.integers(1, 4))
+    colors = tuple(draw(st.lists(st.integers(0, ncolors - 1), min_size=n, max_size=n)))
+    g = Graph(n)
+    for a, b in edges:
+        g.add_edge(a, b)
+    return g, Coloring(colors, ncolors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_graphs(), st.integers(1, 4), st.data())
+def test_verify_coloring_matches_naive_random_graphs(case, k, data):
+    # max_path below n exercises the sweep's period cap
+    g, coloring = case
+    max_path = data.draw(st.integers(2, g.n + 2))
+    got = verify_coloring(g, coloring, k, max_path)
+    want = _naive_verify(g, coloring, k, max_path)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == (want, _tail_repetition(g, coloring, want, k))
+
+
+def test_verify_coloring_short_paths():
+    # a square spans two vertices: one-vertex graphs and max_path 1 are clean
+    assert verify_coloring(path_graph(1), Coloring((0,), 1), 1, 1) is None
+    assert verify_coloring(path_graph(3), Coloring((0, 0, 0), 1), 1, 1) is None
+    with pytest.raises(ValueError):
+        verify_coloring(path_graph(3), Coloring((0, 0, 0), 1), 1, 0)
+
+
+def test_verify_coloring_max_paths_counts_dfs_extensions():
+    # a clean verdict comes from the sweep and ignores the path budget
+    assert verify_coloring(path_graph(4), Coloring((0, 1, 0, 2), 3), 1, 4, max_paths=1) is None
+    # a square-free path 0..5 and, apart from it, an edge of one color: the
+    # DFS spends 30 extensions on the path before it reaches the edge, past
+    # the probe's 8, so the naming run meets the budget
+    g = path_graph(6)
+    g.add_vertex()
+    g.add_vertex((6,))
+    coloring = Coloring((0, 1, 0, 2, 0, 1, 2, 2), 3)
+    with pytest.raises(SearchExhausted):
+        verify_coloring(g, coloring, 1, g.n, max_paths=20)
+    want = ((6, 7), Repetition(0, 2, 1))
+    assert verify_coloring(g, coloring, 1, g.n) == want
+    assert verify_coloring(g, coloring, 1, g.n, max_paths=31) == want
+
+
+def _naive_square_through(adj, colors, v, k, pmax) -> bool:
+    """Brute force: does some simple path through v over colored vertices,
+    compared half against half by slicing, read a square of period in
+    k..pmax?"""
+
+    def grow(path) -> bool:
+        h = len(path) // 2
+        if v in path and len(path) % 2 == 0 and k <= h <= pmax:
+            seq = [colors[u] for u in path]
+            if seq[:h] == seq[h:]:
+                return True
+        return any(
+            grow(path + [u]) for u in adj[path[-1]] if colors[u] >= 0 and u not in path
+        )
+
+    return any(grow([s]) for s in range(len(colors)) if colors[s] >= 0)
+
+
+@st.composite
+def _partial_colorings(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16)) if pairs else []
+    colors = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    v = draw(st.integers(0, n - 1))
+    colors[v] = draw(st.integers(0, 2))
+    return n, edges, colors, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partial_colorings(), st.integers(1, 3), st.integers(1, 5))
+# a square away from v (vertices 0, 1) must not count
+@example((5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0, 0, 1, 2, 0], 4), 1, 4)
+# v ends the first half: read from the far end, one vertex lies past v
+@example((4, [(0, 1), (1, 2), (2, 3)], [1, 2, 1, 2], 1), 1, 2)
+# the only square has period 2, above the cap
+@example((4, [(0, 1), (1, 2), (2, 3)], [1, 2, 1, 2], 1), 1, 1)
+# 001001 has only a period-3 square through v = 3: period 2 dies at
+# |R| = 4, where period 3 must not join under the cap 2
+@example((6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [0, 0, 1, 0, 0, 1], 3), 2, 2)
+def test_square_through_vertex_matches_brute_force(case, k, pmax):
+    n, edges, colors, v = case
+    g = Graph(n)
+    for a, b in edges:
+        g.add_edge(a, b)
+    want = _naive_square_through(g.adj, colors, v, k, pmax)
+    assert _square_through_vertex(g, list(colors), v, k, pmax) == want
 
 
 def test_graph_json_round_trip():

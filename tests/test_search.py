@@ -4,13 +4,12 @@ import contextlib
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nonrep.graphs import Coloring, Graph, path_graph, stacked_triangulation, verify_coloring
 from nonrep.search import (
     PiResult,
     SearchBudget,
-    _square_through_vertex,
     extend_word_search,
     pi_k_exact,
     tree_witness_search,
@@ -185,48 +184,6 @@ def recursion_headroom(frames: int):
         yield
     finally:
         sys.setrecursionlimit(old)
-
-
-def _naive_square_through(adj, colors, v, k) -> bool:
-    """Brute force: does some simple path through v over colored vertices,
-    compared half against half by slicing, read a square of period >= k?"""
-
-    def grow(path) -> bool:
-        if v in path and len(path) % 2 == 0 and len(path) // 2 >= k:
-            seq = [colors[u] for u in path]
-            if seq[: len(seq) // 2] == seq[len(seq) // 2 :]:
-                return True
-        return any(
-            grow(path + [u]) for u in adj[path[-1]] if colors[u] >= 0 and u not in path
-        )
-
-    return any(grow([s]) for s in range(len(colors)) if colors[s] >= 0)
-
-
-@st.composite
-def _partial_colorings(draw):
-    n = draw(st.integers(1, 9))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16)) if pairs else []
-    colors = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
-    v = draw(st.integers(0, n - 1))
-    colors[v] = draw(st.integers(0, 2))
-    return n, edges, colors, v
-
-
-@settings(max_examples=300, deadline=None)
-@given(_partial_colorings(), st.integers(1, 3))
-# a square away from v (vertices 0, 1) must not count
-@example((5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0, 0, 1, 2, 0], 4), 1)
-# v ends the first half: read from the far end, one vertex lies past v
-@example((4, [(0, 1), (1, 2), (2, 3)], [1, 2, 1, 2], 1), 1)
-def test_square_through_vertex_matches_brute_force(case, k):
-    n, edges, colors, v = case
-    g = Graph(n)
-    for a, b in edges:
-        g.add_edge(a, b)
-    want = _naive_square_through(g.adj, colors, v, k)
-    assert _square_through_vertex(g, list(colors), v, k) == want
 
 
 def test_pi_k_exact_long_path_does_not_recurse():
