@@ -4,7 +4,7 @@ graph families, and exact small-scale searches."""
 
 from .words import G2, G5, Morphism, apply_morphism
 from .repetitions import PowerFreeSpec, Repetition, find_squares, is_power_free, is_d_directed
-from .treecert import Certificate, certify_morphic_tree_coloring, directedness_threshold
+from .treecert import BranchCheckSpec, Certificate, certify_morphic_tree_coloring, directedness_threshold
 from .graphs import Graph, Coloring, verify_coloring
 from .search import SearchBudget, PiResult, pi_k_exact
 
@@ -18,6 +18,7 @@ __all__ = [
     "find_squares",
     "is_power_free",
     "is_d_directed",
+    "BranchCheckSpec",
     "Certificate",
     "certify_morphic_tree_coloring",
     "directedness_threshold",

@@ -24,7 +24,7 @@ from .graphs import (
     u_witness,
     verify_coloring,
 )
-from .search import SearchBudget, extend_word_search, pi_k_exact, _rooted_trees
+from .search import extend_word_search, pi_k_exact
 
 
 @dataclass
@@ -135,9 +135,38 @@ def criterion_5() -> CriterionResult:
     )
 
 
+def _rooted_trees(max_vertices: int):
+    """Yield rooted trees as canonical parent arrays (parent[0] = -1,
+    parent[v] < v), smallest vertex count first, one per isomorphism class."""
+    for n in range(1, max_vertices + 1):
+        seen = set()
+        # BFS labelings have non-decreasing parents, so restricting to them
+        # keeps every shape reachable while cutting the search to
+        # Catalan-many arrays; exact dedup happens via the canonical form.
+        # The arrays come in lexicographic order: parent[v] ranges over
+        # parent[v-1] .. v-1, so the next array bumps the last entry below
+        # its cap and resets every later entry to the bumped value.
+        parent = [-1] + [0] * (n - 1)
+        while True:
+            kids: list[list[tuple]] = [[] for _ in range(n)]
+            for v in range(n - 1, 0, -1):  # children before parents
+                kids[parent[v]].append(tuple(sorted(kids[v])))
+            key = tuple(sorted(kids[0]))
+            if key not in seen:
+                seen.add(key)
+                yield list(parent)
+            v = n - 1
+            while v > 0 and parent[v] == v - 1:
+                v -= 1
+            if v == 0:
+                break
+            parent[v:] = [parent[v] + 1] * (n - v)
+
+
 def criterion_6() -> CriterionResult:
     """pi_k exactness: paths need 3 colors at k=1 (n=4..14) and 2 at k=3
-    (n<=60); pi is monotone non-increasing in k on all trees <= 8 vertices."""
+    (n<=60); P_18/P_19 need 2/3 colors at k=2 and P_9/P_10 need 1/2 at k=5;
+    pi is monotone non-increasing in k on all trees <= 8 vertices."""
     t0 = time.monotonic()
     ok = True
     detail = []
@@ -152,6 +181,14 @@ def criterion_6() -> CriterionResult:
         if res.value != want:
             ok = False
             detail.append(f"P_{n} k=3 = {res.value}")
+    # the paths behind pi_2(tree) >= 3 and pi_5(tree) >= 2: binary words free
+    # of squares of period >= 2 have at most 18 letters (Entringer, Jackson &
+    # Schatz 1974), and a one-colour P_10 reads a square of period 5
+    for n, k, want in ((18, 2, 2), (19, 2, 3), (9, 5, 1), (10, 5, 2)):
+        value = pi_k_exact(path_graph(n), k).value
+        if value != want:
+            ok = False
+            detail.append(f"P_{n} k={k} = {value}")
     for parent in _rooted_trees(8):
         g = Graph(len(parent))
         for v in range(1, len(parent)):
@@ -386,7 +423,7 @@ _CRITERIA = {
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    numbers = sorted(numbers) if numbers else sorted(_CRITERIA)
+    numbers = sorted(_CRITERIA) if numbers is None else sorted(numbers)
     unknown = [i for i in numbers if i not in _CRITERIA]
     if unknown:
         raise ValueError(f"unknown criterion numbers {unknown} (known: {sorted(_CRITERIA)})")

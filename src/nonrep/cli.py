@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: `word gen|check-free|check-directed`, `morphism apply`,
-`treecert certify`, `graph gen|verify`, `search pik|word|tree-witness`,
+`treecert certify`, `graph gen|verify`, `search pik|word`,
 `suite run`.  Exit codes: 0 on pass/success, 1 on a failed check (with the
 counterexample emitted), 2 on usage or configuration errors.  All rational
 parameters are exact `a/b` strings; floats are rejected."""
@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import acceptance
 from .words import (
-    G2,
     NAMED_MORPHISMS,
     Morphism,
     apply_morphism,
@@ -35,7 +34,7 @@ from .graphs import (
     stacked_triangulation,
     verify_coloring,
 )
-from .search import SearchBudget, extend_word_search, pi_k_exact, tree_witness_search
+from .search import SearchBudget, extend_word_search, pi_k_exact
 
 
 class UsageError(Exception):
@@ -134,7 +133,8 @@ def cmd_graph(args) -> int:
             g = Graph.from_json_dict(json.load(fh))
         colors = tuple(int(c) for c in args.colors.split(","))
         coloring = Coloring(colors, max(colors) + 1)
-        hit = verify_coloring(g, coloring, args.k, args.max_path or g.n)
+        max_path = g.n if args.max_path is None else args.max_path
+        hit = verify_coloring(g, coloring, args.k, max_path)
         if hit is None:
             print("no violating path")
             return 0
@@ -170,20 +170,11 @@ def cmd_search(args) -> int:
         )
         print(f"{status} length {len(res.word)}: {res.word}")
         return 0 if res.reached_target else 1
-    if args.action == "tree-witness":
-        hit = tree_witness_search(args.k, args.colors, args.max_depth, args.max_arity, budget)
-        if hit is None:
-            print("inconclusive: no witness within bounds/budget")
-            return 1
-        g, res = hit
-        doc = {"graph": g.to_json_dict(), "colors": args.colors, "pi_lower": res.lower}
-        print(json.dumps(doc, sort_keys=True))
-        return 0
     raise UsageError(f"unknown search action {args.action!r}")
 
 
 def cmd_suite(args) -> int:
-    numbers = [int(x) for x in args.only.split(",")] if args.only else None
+    numbers = None if args.only is None else [int(x) for x in args.only.split(",")]
     results = acceptance.run_all(numbers)
     if args.json:
         print(
@@ -258,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     gv.add_argument("--max-path", type=int, default=None)
     g.set_defaults(func=cmd_graph)
 
-    s = sub.add_parser("search", help="exact and exploratory searches")
+    s = sub.add_parser("search", help="exact searches")
     ssub = s.add_subparsers(dest="action", required=True)
     sp = ssub.add_parser("pik")
     sp.add_argument("--graph")
@@ -268,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--alphabet", type=int, required=True)
     sw.add_argument("--k", type=int, required=True)
     sw.add_argument("--target", type=int, required=True)
-    stw = ssub.add_parser("tree-witness")
-    stw.add_argument("--k", type=int, required=True)
-    stw.add_argument("--colors", type=int, required=True)
-    stw.add_argument("--max-depth", type=int, default=6)
-    stw.add_argument("--max-arity", type=int, default=3)
     s.set_defaults(func=cmd_search)
 
     su = sub.add_parser("suite", help="acceptance criteria")

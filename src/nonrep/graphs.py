@@ -225,6 +225,20 @@ def plus4_gadget(h: Graph, m: int) -> Graph:
 _LEVELED_MAX_VERTICES = 200_000
 
 
+def complete_tree(depth: int, arity: int) -> Graph:
+    """Complete rooted tree of the given depth and branching, numbered level by
+    level: the children of v are arity*v + 1 .. arity*v + arity, and g.levels
+    holds each vertex's depth."""
+    if depth < 0 or arity < 1:
+        raise ValueError("need depth >= 0 and arity >= 1")
+    levels = [lv for lv in range(depth + 1) for _ in range(arity**lv)]
+    g = Graph(len(levels))
+    for v in range(1, g.n):
+        g.add_edge((v - 1) // arity, v)
+    g.levels = levels
+    return g
+
+
 def leveled_outerplanar(levels: int, path_len: int) -> Graph:
     """Rooted leveled graph: every vertex on level i carries a child path of
     path_len vertices on level i+1 (children adjacent to the parent and
@@ -237,21 +251,10 @@ def leveled_outerplanar(levels: int, path_len: int) -> Graph:
         raise ValueError(
             f"instance would have {total} vertices, over the budget of {_LEVELED_MAX_VERTICES}"
         )
-    g = Graph(1)
-    g.levels = [0]
-    frontier = [0]
-    for lv in range(1, levels + 1):
-        nxt = []
-        for parent in frontier:
-            prev = None
-            for _ in range(path_len):
-                v = g.add_vertex((parent,))
-                g.levels.append(lv)
-                if prev is not None:
-                    g.add_edge(prev, v)
-                prev = v
-                nxt.append(v)
-        frontier = nxt
+    g = complete_tree(levels, path_len)
+    for v in range(1, g.n):
+        if (v - 1) % path_len:  # v is not its parent's first child
+            g.add_edge(v - 1, v)
     g.family = "leveled"
     return g
 

@@ -1,13 +1,12 @@
-"""Exact and exploratory searches: the minimum palette size for square-free
-path colorings of small graphs, longest-word searches on paths, and witness
-hunts for trees that defeat a given palette."""
+"""Exact searches: the minimum palette size for square-free path colorings of
+small graphs, and longest-word searches on paths."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, Coloring, _square_through_vertex, path_graph, verify_coloring
+from .graphs import Graph, Coloring, _square_through_vertex, verify_coloring
 from .repetitions import _tail_hit
 
 
@@ -17,11 +16,13 @@ class SearchBudget:
 
     node_limit: int = 10_000_000
     time_limit: float = 300.0
-    max_colors: int = 16
 
     def __post_init__(self):
-        if self.node_limit < 1 or self.time_limit <= 0 or self.max_colors < 1:
+        if self.node_limit < 1 or self.time_limit <= 0:
             raise ValueError("budget fields must be positive")
+
+
+_MAX_COLORS = 16  # the largest palette pi_k_exact tries
 
 
 @dataclass
@@ -85,7 +86,7 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
         return Coloring(tuple(colors), ncolors)
 
     lower = 1
-    for ncolors in range(1, budget.max_colors + 1):
+    for ncolors in range(1, _MAX_COLORS + 1):
         res = solve(ncolors)
         if res is None:
             return PiResult(lower, None, None, True, nodes)
@@ -151,75 +152,3 @@ def extend_word_search(
         else:
             word.pop()
     return WordSearchResult(best, res is True, res is None)
-
-
-def _rooted_trees(max_vertices: int):
-    """Yield rooted trees as canonical parent arrays (parent[0] = -1,
-    parent[v] < v), smallest vertex count first, one per isomorphism class."""
-    for n in range(1, max_vertices + 1):
-        seen = set()
-        # BFS labelings have non-decreasing parents, so restricting to them
-        # keeps every shape reachable while cutting the search to
-        # Catalan-many arrays; exact dedup happens via the canonical form.
-        # The arrays come in lexicographic order: parent[v] ranges over
-        # parent[v-1] .. v-1, so the next array bumps the last entry below
-        # its cap and resets every later entry to the bumped value.
-        parent = [-1] + [0] * (n - 1)
-        while True:
-            kids: list[list[tuple]] = [[] for _ in range(n)]
-            for v in range(n - 1, 0, -1):  # children before parents
-                kids[parent[v]].append(tuple(sorted(kids[v])))
-            key = tuple(sorted(kids[0]))
-            if key not in seen:
-                seen.add(key)
-                yield list(parent)
-            v = n - 1
-            while v > 0 and parent[v] == v - 1:
-                v -= 1
-            if v == 0:
-                break
-            parent[v:] = [parent[v] + 1] * (n - v)
-
-
-def tree_witness_search(
-    k: int,
-    colors: int,
-    max_depth: int = 6,
-    max_arity: int = 3,
-    budget: SearchBudget = SearchBudget(),
-):
-    """Smallest rooted tree (by vertex count, then canonical shape) within the
-    shape bounds that admits no coloring with the given palette avoiding color
-    squares of period >= k on paths; unsatisfiability is established by the
-    exact solver.  Returns (Graph, PiResult) or None when the search space or
-    budget is exhausted without a witness (inconclusive, not a refutation)."""
-    if colors < 1 or k < 1:
-        raise ValueError("need colors, k >= 1")
-    max_vertices = 0
-    total = 1
-    for _ in range(max_depth):
-        total = total * max_arity + 1
-    max_vertices = min(total, 12)
-    deadline = time.monotonic() + budget.time_limit
-    for parent in _rooted_trees(max_vertices):
-        if time.monotonic() > deadline:
-            return None
-        n = len(parent)
-        depth = [0] * n
-        arity = [0] * n
-        for v in range(1, n):
-            depth[v] = depth[parent[v]] + 1
-            arity[parent[v]] += 1
-        if n > 1 and (max(depth) > max_depth or max(arity) > max_arity):
-            continue
-        g = Graph(n)
-        for v in range(1, n):
-            g.add_edge(parent[v], v)
-        g.family = "tree"
-        sub = SearchBudget(budget.node_limit, max(deadline - time.monotonic(), 0.01), colors)
-        res = pi_k_exact(g, k, sub)
-        if res.exhausted:
-            return None
-        if res.lower > colors:
-            return g, res
-    return None

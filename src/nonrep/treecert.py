@@ -46,7 +46,7 @@ from .words import (
 )
 from .repetitions import (PowerFreeSpec, Repetition, _period_runs, _reversal_pair,
                           find_squares, is_power_free)
-from .graphs import Graph, Coloring
+from .graphs import Coloring, complete_tree
 
 
 class ConfigurationError(ValueError):
@@ -491,26 +491,14 @@ def certify_morphic_tree_coloring(
 
 
 def build_level_tree(word: str, depth: int, arity: int):
-    """Complete rooted tree of the given depth and branching, vertices colored
-    by level: a vertex on level i gets color word[depth - i], so reading a
+    """The complete tree of `graphs.complete_tree`, vertices colored by level:
+    a vertex on level i gets color word[depth - i], so reading a
     root-to-leaf path from the leaf up spells word[0..depth].  Returns
     (Graph, Coloring)."""
-    if depth < 0 or arity < 1:
-        raise ValueError("need depth >= 0 and arity >= 1")
     if len(word) < depth + 1:
         raise ValueError("word must have at least depth + 1 symbols")
-    g = Graph(1)
-    g.levels = [0]
-    colors = [int(word[depth])]
-    frontier = [0]
-    for lv in range(1, depth + 1):
-        nxt = []
-        for parent in frontier:
-            for _ in range(arity):
-                v = g.add_vertex((parent,))
-                g.levels.append(lv)
-                colors.append(int(word[depth - lv]))
-                nxt.append(v)
-        frontier = nxt
+    g = complete_tree(depth, arity)
     g.family = "leveltree"
-    return g, Coloring(tuple(colors), max(colors) + 1)
+    digits = [int(c) for c in word[depth::-1]]  # digits[i] = word[depth - i]
+    colors = tuple(digits[lv] for lv in g.levels)
+    return g, Coloring(colors, max(colors) + 1)

@@ -1,9 +1,34 @@
 """One test per acceptance criterion.  Each delegates to the acceptance
-module, prints the one-line report entry, and asserts the verdict."""
+module, prints the one-line report entry, and asserts the verdict.  The
+rooted-tree enumerator behind criterion 6's monotonicity sweep is pinned
+against OEIS A000081 and an independent canonical form."""
 
 import pytest
 
 from nonrep import acceptance
+
+
+def _ahu(parent):
+    """AHU canonical string of a rooted tree given as a parent array with
+    parent[v] < v: each vertex reads "(" + its children's sorted strings + ")"."""
+    kids = [[] for _ in parent]
+    form = [""] * len(parent)
+    for v in range(len(parent) - 1, -1, -1):
+        form[v] = "(" + "".join(sorted(kids[v])) + ")"
+        if v:
+            kids[parent[v]].append(form[v])
+    return form[0]
+
+
+def test_rooted_trees_one_per_shape():
+    trees = list(acceptance._rooted_trees(10))
+    sizes = [len(p) for p in trees]
+    assert sizes == sorted(sizes)
+    # unlabeled rooted trees on 1..10 vertices (OEIS A000081)
+    assert [sizes.count(n) for n in range(1, 11)] == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+    for p in trees:
+        assert p[0] == -1 and all(0 <= p[v] < v for v in range(1, len(p)))
+    assert len({_ahu(p) for p in trees}) == len(trees)
 
 
 def _run(number):

@@ -210,6 +210,16 @@ def test_graph_verify_one_vertex(capsys, tmp_path):
     assert captured.out == "no violating path\n" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("max_path", ["0", "-1"])
+def test_graph_verify_nonpositive_max_path_exit_2(capsys, tmp_path, max_path):
+    # 0 is an explicit value, not "unset": it must not fall back to g.n
+    f = tmp_path / "p4.json"
+    main(["graph", "gen", "--family", "path", "--n", "4", "--out", str(f)])
+    capsys.readouterr()
+    argv = ["graph", "verify", "--graph", str(f), "--colors", "0,0,0,0", "--k", "1"]
+    assert_usage_error(capsys, argv + ["--max-path", max_path])
+
+
 def test_graph_verify_missing_file():
     assert main(["graph", "verify", "--graph", "/no/such.json", "--colors", "0", "--k", "1"]) == 2
 
@@ -263,15 +273,16 @@ def test_search_word(capsys):
     assert rc == 1 and "010" in out
 
 
-def test_search_tree_witness(capsys):
-    assert main(["search", "tree-witness", "--k", "1", "--colors", "2"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["graph"]["n"] == 4
+def test_search_tree_witness_is_gone(capsys):
+    assert main(["search", "tree-witness", "--k", "1", "--colors", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "invalid choice: 'tree-witness'" in err
 
 
 def test_suite_unknown_criterion_exit_2(capsys):
     assert_usage_error(capsys, ["suite", "run", "--only", "10"])
     assert_usage_error(capsys, ["suite", "run", "--only", "1,0,12"])
+    assert_usage_error(capsys, ["suite", "run", "--only", ""])  # not "run them all"
 
 
 def test_suite_only_flag(capsys):

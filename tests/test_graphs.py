@@ -11,6 +11,7 @@ from nonrep.graphs import (
     SearchExhausted,
     _square_through_vertex,
     check_3tree,
+    complete_tree,
     fan_witness,
     leveled_outerplanar,
     outerplanar_U,
@@ -158,6 +159,23 @@ def test_leveled_outerplanar_child_paths():
     assert len(kids) == 3
     assert g.has_edge(kids[0], kids[1]) and g.has_edge(kids[1], kids[2])
     assert not g.has_edge(kids[0], kids[2])
+
+
+def test_complete_tree_numbering():
+    # level by level: the children of v are a*v + 1 .. a*v + a
+    for depth in range(5):
+        for a in range(1, 4):
+            g = complete_tree(depth, a)
+            n = sum(a**i for i in range(depth + 1))
+            tree = [((v - 1) // a, v) for v in range(1, n)]
+            assert g.n == n and g.edges() == tree
+            assert g.levels == [0] + [g.levels[(v - 1) // a] + 1 for v in range(1, n)]
+            siblings = [(v - 1, v) for v in range(1, n) if (v - 1) % a]
+            assert leveled_outerplanar(depth, a).edges() == sorted(tree + siblings)
+    with pytest.raises(ValueError):
+        complete_tree(-1, 2)
+    with pytest.raises(ValueError):
+        complete_tree(2, 0)
 
 
 def test_fan_witness_t1():

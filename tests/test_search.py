@@ -1,4 +1,4 @@
-"""Tests for exact pi_k search, word extension search, and tree witnesses."""
+"""Tests for exact pi_k search and word extension search."""
 
 import contextlib
 import sys
@@ -12,7 +12,6 @@ from nonrep.search import (
     SearchBudget,
     extend_word_search,
     pi_k_exact,
-    tree_witness_search,
 )
 from fractions import Fraction
 
@@ -125,24 +124,6 @@ def test_extend_word_search_lex_least():
 def test_ternary_squarefree_never_dead_ends():
     res = extend_word_search(3, 1, 1000)
     assert res.reached_target and not res.exhausted
-
-
-def test_tree_witness_search_examples():
-    found = tree_witness_search(1, 2)
-    assert found is not None
-    g, res = found
-    assert g.n == 4 and sorted(len(a) for a in g.adj) == [1, 1, 2, 2]  # P4 shape
-    assert res.lower == 3
-    found = tree_witness_search(5, 1, max_depth=9, max_arity=1)
-    assert found is not None
-    g, res = found
-    assert g.n == 10  # monochromatic P10 contains a period-5 square
-    assert res.lower == 2
-
-
-def test_tree_witness_search_inconclusive():
-    # 3 colors suffice for every tree this small, so the search finds nothing
-    assert tree_witness_search(3, 3, max_depth=3, max_arity=2) is None
 
 
 def test_pi_k_exact_rejected_witness_raises(monkeypatch):
