@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 
 from .repetitions import Repetition, _tail_hit
 
@@ -136,10 +137,26 @@ class Coloring:
                 raise ValueError(f"color {c} out of range")
 
 
+_MAX_VERTICES = 200_000
+
+
+def _check_vertex_budget(parts) -> None:
+    """Refuse, before anything is built, an instance whose vertex count (the
+    sum of parts) passes _MAX_VERTICES, the one budget of every generated
+    family.  parts may be a lazy sequence of growing terms: summing stops at
+    the budget, so a huge parameter costs nothing to refuse."""
+    total = 0
+    for part in parts:
+        total += part
+        if total > _MAX_VERTICES:
+            raise ValueError(f"instance would have more than {_MAX_VERTICES} vertices, the budget")
+
+
 def path_graph(n: int) -> Graph:
     """Path on n vertices, 0-1-...-(n-1)."""
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_vertex_budget((n,))
     g = Graph(n)
     for i in range(n - 1):
         g.add_edge(i, i + 1)
@@ -174,9 +191,11 @@ def _stack_rounds(rounds: int):
 def stacked_triangulation(i: int) -> Graph:
     """The i-th stacked planar triangulation: K4 with i rounds of inserting a
     degree-3 vertex into every face.  Deterministic insertion-order numbering;
-    carries its face list and construction log."""
+    carries its face list and construction log.  |V| = 2 * 3^i + 2."""
     if i < 0:
         raise ValueError("need i >= 0")
+    # round r inserts one vertex into each of the 4 * 3^r faces
+    _check_vertex_budget(chain((4,), (4 * 3**r for r in range(i))))
     g, _ = _stack_rounds(i)
     return g
 
@@ -189,6 +208,7 @@ def outerplanar_U(i: int) -> Graph:
     2^i, with main edge (0, 2^i).  |V| = 2^i + 1, |E| = 2^(i+1) - 1."""
     if i < 0:
         raise ValueError("need i >= 0")
+    _check_vertex_budget(chain((2,), (2**s for s in range(i))))
     g = Graph(2**i + 1)
     for s in range(i + 1):
         for a in range(0, 2**i, 2**s):
@@ -203,6 +223,7 @@ def plus4_gadget(h: Graph, m: int) -> Graph:
     two extra adjacent vertices each adjacent to all matched vertices."""
     if m < 1:
         raise ValueError("need m >= 1")
+    _check_vertex_budget((2 * m + 2, 2 * m * h.n))
     g = Graph(2 * m + 2)
     c, d = 2 * m, 2 * m + 1
     g.add_edge(c, d)
@@ -222,9 +243,6 @@ def plus4_gadget(h: Graph, m: int) -> Graph:
     return g
 
 
-_LEVELED_MAX_VERTICES = 200_000
-
-
 def complete_tree(depth: int, arity: int) -> Graph:
     """Complete rooted tree of the given depth and branching, numbered level by
     level: the children of v are arity*v + 1 .. arity*v + arity, and g.levels
@@ -242,15 +260,10 @@ def complete_tree(depth: int, arity: int) -> Graph:
 def leveled_outerplanar(levels: int, path_len: int) -> Graph:
     """Rooted leveled graph: every vertex on level i carries a child path of
     path_len vertices on level i+1 (children adjacent to the parent and
-    consecutive children adjacent).  Refuses instances of more than
-    _LEVELED_MAX_VERTICES vertices."""
+    consecutive children adjacent)."""
     if levels < 0 or path_len < 1:
         raise ValueError("need levels >= 0 and path_len >= 1")
-    total = sum(path_len ** i for i in range(levels + 1))
-    if total > _LEVELED_MAX_VERTICES:
-        raise ValueError(
-            f"instance would have {total} vertices, over the budget of {_LEVELED_MAX_VERTICES}"
-        )
+    _check_vertex_budget(path_len**lv for lv in range(levels + 1))
     g = complete_tree(levels, path_len)
     for v in range(1, g.n):
         if (v - 1) % path_len:  # v is not its parent's first child

@@ -5,9 +5,17 @@ Every square and exponent test in the package reduces to one quantity, the
 match run: the run at period p ending at index m is the number of consecutive
 j <= m with seq[j] == seq[j - p].  A square of period p ends at m exactly when
 that run reaches p, and a repetition of period p and length p + r ends at m
-exactly when it reaches r.  `_tail_hit` asks that question at one index (the
-tail of a word grown one symbol at a time); `_period_runs` answers it at every
-index of a whole word.  The oracle tests pin both against slice comparisons.
+exactly when it reaches r.  The run has two forms:
+
+- at one index, `_tail_hit` counts it backward from the tail of a word grown
+  one symbol at a time (the word searches and the graph square kernel);
+- over a whole word, the masks answer it at every index at once: one int bit
+  mask per symbol (`_symbol_masks`), whose shifted ANDs give the match mask
+  of a period (`_match_mask`), whose shifted ANDs in turn give the indices
+  where the run reaches r (`_run_reaches`), in O(log r) big-int operations
+  (Shift-And: Baeza-Yates & Gonnet, CACM 1992; Myers, JACM 1999).
+
+The oracle tests pin both forms against slice comparisons.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Repetition:
     """A located factor w[start : start+length] having period `period`."""
 
@@ -84,16 +92,36 @@ def _tail_hit(seq, m: int, lo: int, hi: int, need) -> int | None:
     return None
 
 
-def _period_runs(w, p: int) -> list[int]:
-    """runs[j] = the match run at period p ending at index j, for every index
-    of w (0 at the first p indices)."""
-    runs = [0] * min(p, len(w))
-    append = runs.append
-    run = 0
-    for a, b in zip(w[p:], w):
-        run = run + 1 if a == b else 0
-        append(run)
-    return runs
+def _symbol_masks(w: str) -> list[int]:
+    """One int per distinct symbol of w, with bit j set where w[j] is that
+    symbol."""
+    rev = w[::-1]
+    table = dict.fromkeys(map(ord, set(w)), "0")
+    masks = []
+    for c in table:
+        table[c] = "1"
+        masks.append(int(rev.translate(table), 2))
+        table[c] = "0"
+    return masks
+
+
+def _match_mask(masks: list[int], p: int) -> int:
+    """The match mask at period p: bit j set exactly when w[j] == w[j - p]."""
+    eq = 0
+    for m in masks:
+        eq |= m & (m << p)
+    return eq
+
+
+def _run_reaches(eq: int, r: int) -> int:
+    """The bits j where the match run ending at j reaches r >= 1, i.e. bits
+    j - r + 1 .. j of the match mask eq are all set.  Each AND with a shifted
+    copy doubles the span covered; the last one overlaps to land on r."""
+    span = 1
+    while 2 * span < r:
+        eq &= eq << span
+        span *= 2
+    return eq & (eq << (r - span))
 
 
 def find_squares(w: str, min_period: int, max_period: int) -> list[Repetition]:
@@ -101,13 +129,15 @@ def find_squares(w: str, min_period: int, max_period: int) -> list[Repetition]:
     sorted by (start, period)."""
     if not 1 <= min_period <= max_period:
         raise ValueError("need 1 <= min_period <= max_period")
-    n = len(w)
+    masks = _symbol_masks(w)
     hits = []
-    for p in range(min_period, min(max_period, n // 2) + 1):
-        runs = _period_runs(w, p)
+    for p in range(min_period, min(max_period, len(w) // 2) + 1):
         # a square of period p ends at e when the run there reaches p
-        if max(runs) >= p:
-            hits += [(e - 2 * p + 1, p) for e, r in enumerate(runs) if r >= p]
+        ends = _run_reaches(_match_mask(masks, p), p)
+        while ends:
+            low = ends & -ends
+            hits.append((low.bit_length() - 2 * p, p))
+            ends ^= low
     hits.sort()
     return [Repetition(start, 2 * p, p) for start, p in hits]
 
@@ -117,7 +147,8 @@ def is_power_free(w: str, spec: PowerFreeSpec) -> Repetition | None:
     repetition with smallest start, then smallest period, reported at its
     maximal length (the full periodic run)."""
     n = len(w)
-    best = None  # (start, period, runs)
+    masks = _symbol_masks(w)
+    best = None  # (start, period, match mask)
     for p in range(spec.min_period, n):
         length = spec.violation_length(p)
         if length > n:
@@ -125,25 +156,23 @@ def is_power_free(w: str, spec: PowerFreeSpec) -> Repetition | None:
         need = length - p
         if need < 1:
             continue
-        # once a violation starts at s, only starts before s can beat it
-        end = n if best is None else best[0] + length - 1
-        runs = _period_runs(w[:end], p)
-        if need in runs:
-            # runs climb one match at a time, so the first index where the
-            # run equals need is the first where it reaches need
-            best = (runs.index(need) - length + 1, p, runs)
+        eq = _match_mask(masks, p)
+        ends = _run_reaches(eq, need)
+        if best is not None:
+            # once a violation starts at s, only starts before s can beat it
+            ends &= (1 << (best[0] + length - 1)) - 1
+        if ends:
+            best = ((ends & -ends).bit_length() - length, p, eq)
             if best[0] == 0:
                 break
     if best is None:
         return None
-    start, p, runs = best
-    if len(runs) < n:
-        runs = _period_runs(w, p)
-    # the periodic run ends where the match run first drops back to 0
-    try:
-        end = runs.index(0, start + spec.violation_length(p))
-    except ValueError:
-        end = n
+    start, p, eq = best
+    # the periodic run ends at the first mismatch past the violation; the
+    # mask has no bits at or beyond n, so that is at most n
+    end = start + spec.violation_length(p)
+    tail = eq >> end
+    end += ((tail + 1) & ~tail).bit_length() - 1
     return Repetition(start, end - start, p)
 
 

@@ -44,8 +44,8 @@ from .words import (
     factors,
     iter_powerfree_ternary,
 )
-from .repetitions import (PowerFreeSpec, Repetition, _period_runs, _reversal_pair,
-                          find_squares, is_power_free)
+from .repetitions import (PowerFreeSpec, Repetition, _match_mask, _reversal_pair,
+                          _run_reaches, _symbol_masks, find_squares, is_power_free)
 from .graphs import Coloring, complete_tree
 
 
@@ -228,35 +228,57 @@ def _scan_image_centers(img: str, periods):
     delta > p reduce to delta' = 2p - 1 - delta by the palindrome's mirror
     symmetry, and delta = 0 squares lie inside the image itself.
 
-    Returns (center, delta, Repetition-in-branch-word) or None."""
+    Per period the scan works on bit masks over the centers i.  It first
+    ANDs the mirror masks for delta = 1, 2, ... (the delta-th has bit i set
+    when the first delta mirror pairs agree) until none is left.  Then, from
+    the largest such delta down, it meets each with the mask of centers whose
+    run reaches p - delta, which one shifted AND of the match mask narrows
+    per step.  A center whose least admissible delta is delta shows up at
+    that delta.
+
+    Returns (center, delta, Repetition-in-branch-word) for the least period,
+    then the least center, then the least delta; or None."""
     L = len(img)
+    everywhere = (1 << L) - 1
+    masks = _symbol_masks(img)
     for p in periods:
-        runs = _period_runs(img, p)
-        for i in range(p - 1, L):
-            dhi = p if p <= i else i
-            dlo = p - runs[i]
-            if dlo < 1:
-                dlo = 1
-            if 2 * p - i - 1 > dlo:
-                dlo = 2 * p - i - 1
-            if dlo > dhi:
-                continue
-            mirrors = 0
-            a, b = i - p + 1, i - 1
-            while mirrors < dlo and img[a] == img[b]:
-                mirrors += 1
-                a += 1
-                b -= 1
-            if mirrors < dlo:
-                continue
-            branch = img[: i + 1] + img[:i][::-1]
-            end = i + dlo
-            if _period_runs(branch[: end + 1], p)[end] < p:
-                raise RuntimeError(
-                    f"center scan derived a square of period {p} ending at {end} "
-                    f"that the branch word does not contain"
-                )
-            return i, dlo, Repetition(end - 2 * p + 1, 2 * p, p)
+        mirrors = [everywhere]
+        for delta in range(1, p + 1):
+            # bit i: img[i - p + delta] == img[i - delta]
+            pair = 0
+            for m in masks:
+                pair |= (m << delta) & (m << (p - delta))
+            pair &= mirrors[-1]
+            if not pair:
+                break
+            mirrors.append(pair)
+        top = len(mirrors) - 1
+        if not top:
+            continue
+        eq = _match_mask(masks, p)
+        reach = _run_reaches(eq, p - top) if top < p else everywhere
+        best = None
+        for delta in range(top, 0, -1):
+            # the square fits left of the center and delta <= i
+            lo = max(2 * p - 1 - delta, delta)
+            centers = (mirrors[delta] & reach) >> lo
+            if centers:
+                i = lo + (centers & -centers).bit_length() - 1
+                if best is None or i <= best[0]:
+                    best = (i, delta)
+            reach &= eq << (p - delta)
+        if best is None:
+            continue
+        i, delta = best
+        branch = img[: i + 1] + img[:i][::-1]
+        end = i + delta
+        start = end - 2 * p + 1
+        if start < 0 or branch[start : start + p] != branch[start + p : end + 1]:
+            raise RuntimeError(
+                f"center scan derived a square of period {p} ending at {end} "
+                f"that the branch word does not contain"
+            )
+        return i, delta, Repetition(start, 2 * p, p)
     return None
 
 

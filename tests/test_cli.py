@@ -172,6 +172,15 @@ def test_graph_gen_stdout(capsys):
     assert doc["n"] == 5 and len(doc["edges"]) == 4
 
 
+@pytest.mark.parametrize("family, i", [("stacked", 12), ("outeru", 25), ("leveled", 10**9)])
+def test_graph_gen_over_vertex_budget_exit_2(capsys, family, i):
+    # refused before anything is built: G_12 would have 1 062 884 vertices,
+    # U_25 33 554 433, and the leveled graph (one child per vertex) 10^9 + 1
+    assert main(["graph", "gen", "--family", family, "--i", str(i), "--n", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "budget" in err
+
+
 def test_graph_verify(capsys, tmp_path):
     f = tmp_path / "p4.json"
     main(["graph", "gen", "--family", "path", "--n", "4", "--out", str(f)])

@@ -1,8 +1,13 @@
-"""No module of the package keeps a module-level import it never uses (no
-linter is a dependency, so the check reads the syntax tree itself).
-`__init__.py` is skipped: its imports are the package's re-exports."""
+"""Tooling guards.  No module of the package keeps a module-level import it
+never uses (no linter is a dependency, so the check reads the syntax tree
+itself; `__init__.py` is skipped: its imports are the package's re-exports).
+The certificate path does not import numpy, which would add about 11 MB to the
+resident size of a process that peaks near 22 MB."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +41,18 @@ def test_unused_imports_detected():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_certificate_path_imports_no_numpy():
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import nonrep\n"
+        "spec = nonrep.BranchCheckSpec(2, nonrep.PowerFreeSpec(Fraction(19, 10), 2), 3)\n"
+        "assert nonrep.certify_morphic_tree_coloring(nonrep.G2, spec).passed\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

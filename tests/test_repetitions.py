@@ -1,16 +1,19 @@
-"""Tests for repetition detection: the match-run kernel against its slice
-definition, exhaustive naive-oracle equivalences, and pinned examples."""
+"""Tests for repetition detection: both forms of the match-run kernel against
+its slice definition, exhaustive naive-oracle equivalences, slice oracles on
+words longer than a machine word, and pinned examples."""
 
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nonrep.words import G2, G5, PowerFreeSpec, apply_morphism
 from nonrep.repetitions import (
     Repetition,
-    _period_runs,
+    _match_mask,
+    _run_reaches,
+    _symbol_masks,
     _tail_hit,
     find_squares,
     is_d_directed,
@@ -55,8 +58,14 @@ def slice_run(w, m, p):
 )
 def test_match_run_kernel_matches_slice_definition(w, data):
     n = len(w)
+    masks = _symbol_masks(w)
+    assert sum(masks) == (1 << n) - 1  # each index in exactly one symbol mask
     for p in range(1, n + 2):
-        assert _period_runs(w, p) == [slice_run(w, j, p) for j in range(n)]
+        runs = [slice_run(w, j, p) for j in range(n)]
+        eq = _match_mask(masks, p)
+        assert eq == sum(1 << j for j in range(n) if runs[j])
+        for r in range(1, n + 1):
+            assert _run_reaches(eq, r) == sum(1 << j for j in range(n) if runs[j] >= r)
     m = data.draw(st.integers(1, n - 1))
     lo = data.draw(st.integers(1, m))
     hi = data.draw(st.integers(lo - 1, m))
@@ -93,6 +102,65 @@ def test_find_squares_matches_naive(w, lo, extra):
     hi = lo + extra
     got = [(r.start, r.period) for r in find_squares(w, lo, hi)]
     assert got == naive_squares(w, lo, hi)
+
+
+@st.composite
+def long_words(draw):
+    """Words of 60-200 symbols, so the masks cross the 64- and 128-bit
+    boundaries; built from repeated chunks so that squares and long runs of
+    every period occur."""
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    n = draw(st.integers(60, 200))
+    w = ""
+    while len(w) < n:
+        w += draw(st.text(alphabet, min_size=1, max_size=40)) * draw(st.integers(1, 4))
+    return w[:n]
+
+
+def slice_squares(w, lo, hi):
+    """(start, period) of every square with period in [lo, hi], in (start,
+    period) order, by slice comparison."""
+    return [
+        (s, p)
+        for s in range(len(w))
+        for p in range(lo, min(hi, (len(w) - s) // 2) + 1)
+        if w[s : s + p] == w[s + p : s + 2 * p]
+    ]
+
+
+def slice_power_violation(w, spec):
+    """(start, length, period) of the violation is_power_free must report, by
+    slice comparison: least start, then least period, at maximal length."""
+    n = len(w)
+    for s in range(n):
+        for p in range(spec.min_period, n):
+            length = spec.violation_length(p)
+            if length <= p or s + length > n or w[s : s + length - p] != w[s + p : s + length]:
+                continue
+            while s + length < n and w[s : s + length + 1 - p] == w[s + p : s + length + 1]:
+                length += 1
+            return s, length, p
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_words(), st.integers(1, 40), st.integers(0, 100))
+def test_find_squares_matches_slices_on_long_words(w, lo, extra):
+    got = [(r.start, r.period) for r in find_squares(w, lo, lo + extra)]
+    assert got == slice_squares(w, lo, lo + extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    long_words(),
+    st.sampled_from([Fraction(19, 10), Fraction(83, 42), Fraction(7, 4), Fraction(2), Fraction(5, 4)]),
+    st.integers(1, 30),
+    st.booleans(),
+)
+def test_is_power_free_matches_slices_on_long_words(w, beta, min_period, strict):
+    spec = PowerFreeSpec(beta, min_period, strict)
+    r = is_power_free(w, spec)
+    assert (None if r is None else (r.start, r.length, r.period)) == slice_power_violation(w, spec)
 
 
 def test_is_power_free_examples():

@@ -129,6 +129,58 @@ def test_scan_image_centers_random(w, lo, extra):
     assert (got is not None) == naive_crossing_square(w, set(periods))
 
 
+def least_crossing_square(w: str, periods):
+    """The hit _scan_image_centers must name, by slice comparison on branch
+    words: the first period in order, then the least center i, then the least
+    delta in 1..p with a square of that period ending delta symbols past i in
+    w[:i+1] + reverse(w[:i])."""
+    for p in periods:
+        for i in range(len(w)):
+            branch = w[: i + 1] + w[:i][::-1]
+            for delta in range(1, min(p, i) + 1):
+                start = i + delta - 2 * p + 1
+                if start >= 0 and branch[start : start + p] == branch[start + p : i + delta + 1]:
+                    return i, delta, Repetition(start, 2 * p, p)
+    return None
+
+
+@st.composite
+def long_images(draw):
+    """Words of 60-200 symbols, past the 64- and 128-bit boundaries of the
+    masks, built from repeated and mirrored chunks so that crossing squares
+    of many periods occur."""
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    n = draw(st.integers(60, 200))
+    w = ""
+    while len(w) < n:
+        chunk = draw(st.text(alphabet, min_size=1, max_size=30))
+        w += draw(st.sampled_from([chunk, chunk * 2, chunk + chunk[::-1]]))
+    return w[:n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_images(), st.integers(1, 60), st.integers(0, 12))
+def test_scan_image_centers_matches_slices_on_long_images(w, lo, extra):
+    periods = list(range(lo, lo + extra + 1))
+    assert _scan_image_centers(w, periods) == least_crossing_square(w, periods)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(list(iter_powerfree_ternary(9))),
+    st.integers(120, 189),
+    st.text(alphabet="01", max_size=40),
+    st.integers(5, 30),
+    st.integers(0, 12),
+)
+def test_scan_image_centers_hits_past_128_bits(src, cut, tail, lo, extra):
+    # a g5 image has no crossing square of period >= 5, so every hit lies at
+    # a center in the tail, past bit 120 of the masks
+    w = apply_morphism(G5, src)[:cut] + tail
+    periods = list(range(lo, lo + extra + 1))
+    assert _scan_image_centers(w, periods) == least_crossing_square(w, periods)
+
+
 def test_morphism_structure_g2():
     st2 = analyze_morphism_structure(G2)
     assert st2.width == 12 and st2.distinct
