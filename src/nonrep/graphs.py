@@ -1,6 +1,8 @@
 """Graph data model, the planar/outerplanar family generators, the
-square-through-a-vertex kernel, and the non-repetitive coloring verifier that
-serves as the global oracle for the rest of the toolkit.
+square-through-a-vertex kernel (one walk out of a vertex decides which of a
+set of candidate colors for it would close a color square), and the
+non-repetitive coloring verifier that serves as the global oracle for the rest
+of the toolkit.
 
 Planarity of the generated families is guaranteed by construction (face-tracked
 stacking, the closed form of U_i); no general planarity test is included.  The
@@ -347,7 +349,9 @@ def u_witness(i: int, x: int, t: int) -> dict[int, int]:
 
 
 def _complete(adj, colors, on_path, v: int, seq: list[int], h: int) -> bool:
-    """Is there an off-path walk from v reading seq[h-1], ..., seq[L-h]?"""
+    """Is there an off-path walk from v reading seq[h-1], ..., seq[L-h]?  The
+    walk clears its own on_path marks before it returns, found or not, so the
+    caller's walk may go on after a hit."""
     walk: list[int] = []
     stack = [iter(adj[v])]
     while stack:
@@ -361,6 +365,8 @@ def _complete(adj, colors, on_path, v: int, seq: list[int], h: int) -> bool:
                 on_path[walk.pop()] = False
             continue
         if len(seq) + len(walk) + 1 == 2 * h:
+            for w in walk:
+                on_path[w] = False
             return True
         walk.append(u)
         on_path[u] = True
@@ -368,10 +374,11 @@ def _complete(adj, colors, on_path, v: int, seq: list[int], h: int) -> bool:
     return False
 
 
-def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int, pmax: int) -> bool:
-    """True if some simple path through v, over the colored vertices
-    (colors[u] >= 0), reads a color square of period h with k <= h <= pmax
-    (one spans 2h colored vertices, so pmax past half their count is moot).
+def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int, pmax: int, cands) -> set[int]:
+    """The colors c in cands for which, with v colored c, some simple path
+    through v over the colored vertices (colors[u] >= 0) reads a color square
+    of period h with k <= h <= pmax (one spans 2h colored vertices, so pmax
+    past half their count is moot).  colors[v] is never read.
 
     Read a square path x_0, ..., x_{2h-1} through v = x_j from the end that
     puts v in its second half (j >= h).  Then R = x_j, x_{j-1}, ..., x_0, the
@@ -381,47 +388,68 @@ def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int, pmax: in
         period h ending at R's tail is L - h, that is, it never broke; and
       - the 2h - L vertices past v read the fixed colors
         R[h-1], R[h-2], ..., R[L-h].
-    So one walk grows R out of v (an explicit stack of neighbour iterators)
-    and keeps the periods still alive at each depth: appending a vertex keeps
-    an alive h when its color equals R[L-h] (the run grows by one; otherwise
-    it drops to 0 and h dies for good), and makes h = L alive when L <= pmax
-    and the color equals R[0].  An alive h with 2h == L is a square; any
-    other alive h is completed by a narrow walk from v that follows only
-    off-path neighbours of the next required color.  R stops growing once no
-    period is alive and no later one can join (max(L, k) > pmax).
+    Only the run's first match, R[h] == R[0], reads v's color, so one walk
+    decides every candidate (forward checking).  It grows R out of v (an
+    explicit stack of neighbour iterators) and keeps the periods still alive
+    at each depth: appending a vertex keeps an alive h when its color equals
+    R[L-h] (the run grows by one; otherwise it drops to 0 and h dies for
+    good), and makes h = L alive when k <= L <= pmax and the color R[h] is a
+    candidate not yet decided; R[h] is h's tag, the color v must have.  An
+    alive h with 2h == L is a square; any other alive h is completed by a
+    narrow walk from v that follows only off-path neighbours of the next
+    required color.  A square decides its tag, and the alive periods with
+    that tag are dropped.  The walk returns once every candidate is decided.
+    R grows only by a vertex that keeps or starts a period, or while it stays
+    short enough (L <= pmax) for a later period to join.
     """
+    undecided = set(cands)
+    bad: set[int] = set()
+    if k > pmax or not undecided:
+        return bad
     adj = g.adj
     on_path = [False] * g.n
-    seq = [colors[v]]
     on_path[v] = True
+    seq = [-1]  # v's color: never read, each period carries its own tag
+    # the colors a completion walk can start with: it leaves v by a neighbour
+    firsts = set(map(colors.__getitem__, adj[v]))
     stack = [(v, iter(adj[v]), [])]  # per path vertex: neighbours left, alive periods
     while stack:
         _, nbrs, alive = stack[-1]
+        L = len(seq)
+        # the next vertex keeps or starts a period, or leaves R short enough
+        # for a later one to join (k <= pmax here)
         for u in nbrs:
-            if colors[u] >= 0 and not on_path[u]:
+            c = colors[u]
+            if c < 0 or on_path[u]:
+                continue
+            # an alive h has 2h > L: at 2h == L it was a square
+            grown = [h for h in alive if seq[L - h] == c] if alive else []
+            if k <= L <= pmax and c in undecided:
+                grown.append(L)
+            if grown or L < pmax:
                 break
         else:
             on_path[stack.pop()[0]] = False
             seq.pop()
             continue
-        L = len(seq)
-        c = colors[u]
-        # an alive h has 2h > L: at 2h == L it was a square
-        grown = [h for h in alive if seq[L - h] == c] if alive else []
-        if k <= L <= pmax and seq[0] == c:
-            grown.append(L)
         seq.append(c)
         on_path[u] = True
         L += 1
         for h in grown:
-            if 2 * h == L or _complete(adj, colors, on_path, v, seq, h):
-                return True
-        if grown or max(L, k) <= pmax:  # h = max(L, k) joins next at best
-            stack.append((u, iter(adj[u]), grown))
-        else:
-            on_path[u] = False
-            seq.pop()
-    return False
+            # the tag test follows the hit: grown holds undecided tags but
+            # for one decided earlier in this loop, so it rarely fails
+            if (
+                2 * h == L or seq[h - 1] in firsts and _complete(adj, colors, on_path, v, seq, h)
+            ) and seq[h] in undecided:
+                tag = seq[h]
+                undecided.discard(tag)
+                bad.add(tag)
+                if not undecided:
+                    return bad
+                stack = [(x, it, [p for p in ps if seq[p] != tag]) for x, it, ps in stack]
+                grown = [p for p in grown if seq[p] != tag]
+        stack.append((u, iter(adj[u]), grown))
+    return bad
 
 
 def _least_violation(g: Graph, colors, k: int, max_path: int, max_paths: int | None):
@@ -514,6 +542,6 @@ def verify_coloring(
     revealed = [-1] * g.n
     for v, c in enumerate(coloring.colors):
         revealed[v] = c
-        if _square_through_vertex(g, revealed, v, k, min(max_path, v + 1) // 2):
+        if _square_through_vertex(g, revealed, v, k, min(max_path, v + 1) // 2, (c,)):
             return _least_violation(g, coloring.colors, k, max_path, max_paths)
     return None

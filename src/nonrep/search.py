@@ -18,7 +18,8 @@ class SearchBudget:
     time_limit: float = 300.0
 
     def __post_init__(self):
-        if self.node_limit < 1 or self.time_limit <= 0:
+        # `not x > 0` also refuses nan, which every comparison calls False
+        if self.node_limit < 1 or not self.time_limit > 0:
             raise ValueError("budget fields must be positive")
 
 
@@ -45,9 +46,10 @@ class PiResult:
 def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiResult:
     """Minimum number of colors so that no simple path of g reads a color
     square of period >= k.  Backtracking over vertex-ordered colorings with
-    incremental checking (only paths through the newly colored vertex) and
-    symmetry breaking: vertex 0 gets color 0, and color c+1 may appear only
-    once color c has."""
+    forward checking (on entering a vertex, one walk over the paths through it
+    decides which of its candidate colors close a square) and symmetry
+    breaking: vertex 0 gets color 0, and color c+1 may appear only once
+    color c has."""
     if k < 1:
         raise ValueError("need k >= 1")
     if g.n == 0:
@@ -59,14 +61,17 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
         """Coloring if one exists, False if provably none, None on budget."""
         nonlocal nodes
         colors = [-1] * g.n
-        # per vertex: the next color to try, and how many colors the vertices
-        # before it use (an explicit stack, so long paths do not recurse)
+        # per vertex: the next color to try, how many colors the vertices
+        # before it use (an explicit stack, so long paths do not recurse), and
+        # the colors that close a square through it, all decided on entry
         next_color = [0] * g.n
         used = [0] * (g.n + 1)
+        bad: list[set[int]] = [set()] * g.n
         v = 0
         while v < g.n:
             c = next_color[v]
-            if c >= min(used[v] + 1, ncolors):
+            top = min(used[v] + 1, ncolors)
+            if c >= top:
                 next_color[v] = 0
                 if v == 0:
                     return False
@@ -77,10 +82,10 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
             nodes += 1
             if nodes > budget.node_limit or time.monotonic() > deadline:
                 return None
-            colors[v] = c
-            if _square_through_vertex(g, colors, v, k, (v + 1) // 2):  # vertices 0..v are colored
-                colors[v] = -1
-            else:
+            if c == 0:  # vertices 0..v-1 are colored
+                bad[v] = _square_through_vertex(g, colors, v, k, (v + 1) // 2, range(top))
+            if c not in bad[v]:
+                colors[v] = c
                 used[v + 1] = max(used[v], c + 1)
                 v += 1
         return Coloring(tuple(colors), ncolors)
@@ -115,9 +120,12 @@ def extend_word_search(
     """Depth-first lexicographic extension of words over the given alphabet,
     keeping every prefix free of squares of period >= k.  Returns the
     lexicographically least such word of target_len, or the longest prefix
-    ever reached if no word of target_len exists (or the budget ran out)."""
+    ever reached if no word of target_len exists (or the budget ran out).
+    Symbols are the digits 0..alphabet-1, so the alphabet is at most 10."""
     if alphabet < 1 or k < 1 or target_len < 1:
         raise ValueError("need alphabet, k, target_len >= 1")
+    if alphabet > 10:
+        raise ValueError(f"need alphabet <= 10, not {alphabet}: symbols are the digits 0-9")
     deadline = time.monotonic() + budget.time_limit
     nodes = 0
     best = ""

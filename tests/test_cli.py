@@ -1,7 +1,11 @@
 """Exit-code contract and output format for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +284,24 @@ def test_search_word(capsys):
     rc = main(["search", "word", "--alphabet", "2", "--k", "1", "--target", "4"])
     out = capsys.readouterr().out
     assert rc == 1 and "010" in out
+
+
+def test_search_nan_time_limit_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("NONREP_TIME_LIMIT", "nan")  # nan <= 0 is False: no deadline
+    assert_usage_error(capsys, ["search", "pik", "--n", "4", "--k", "1"])
+
+
+def test_search_word_alphabet_past_ten_exit_2(capsys):
+    assert_usage_error(capsys, ["search", "word", "--alphabet", "11", "--k", "1", "--target", "5"])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "nonrep", "search", "pik", "--n", "4", "--k", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["value"] == 3
 
 
 def test_search_tree_witness_is_gone(capsys):

@@ -450,33 +450,42 @@ def _naive_square_through(adj, colors, v, k, pmax) -> bool:
 
 @st.composite
 def _partial_colorings(draw):
+    """A small graph, colors in -1..2 (-1: not yet colored) and a vertex v,
+    whose own color the kernel must not read."""
     n = draw(st.integers(1, 9))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16)) if pairs else []
     colors = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
     v = draw(st.integers(0, n - 1))
-    colors[v] = draw(st.integers(0, 2))
     return n, edges, colors, v
 
 
 @settings(max_examples=300, deadline=None)
-@given(_partial_colorings(), st.integers(1, 3), st.integers(1, 5))
+@given(_partial_colorings(), st.integers(1, 3), st.integers(1, 5), st.sets(st.integers(0, 3)))
 # a square away from v (vertices 0, 1) must not count
-@example((5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0, 0, 1, 2, 0], 4), 1, 4)
+@example((5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0, 0, 1, 2, 0], 4), 1, 4, {0})
 # v ends the first half: read from the far end, one vertex lies past v
-@example((4, [(0, 1), (1, 2), (2, 3)], [1, 2, 1, 2], 1), 1, 2)
+@example((4, [(0, 1), (1, 2), (2, 3)], [1, 2, 1, 2], 1), 1, 2, {2})
 # the only square has period 2, above the cap
-@example((4, [(0, 1), (1, 2), (2, 3)], [1, 2, 1, 2], 1), 1, 1)
+@example((4, [(0, 1), (1, 2), (2, 3)], [1, 2, 1, 2], 1), 1, 1, {2})
 # 001001 has only a period-3 square through v = 3: period 2 dies at
 # |R| = 4, where period 3 must not join under the cap 2
-@example((6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [0, 0, 1, 0, 0, 1], 3), 2, 2)
-def test_square_through_vertex_matches_brute_force(case, k, pmax):
+@example((6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [0, 0, 1, 0, 0, 1], 3), 2, 2, {0})
+# 1010 with v = 2 in its second half: the completion past v reads color 0
+@example((4, [(0, 1), (1, 2), (2, 3)], [1, 0, -1, 0], 2), 2, 2, {1})
+# every candidate closes a square; the walk decides 1, then 0 by a completion
+# walk through vertex 4, then 2 by the square 3-4, which a completion walk
+# that left 4 marked would hide
+@example((6, [(0, 5), (1, 4), (2, 3), (2, 5), (3, 4)], [0, 1, 1, 1, 2, 2], 3), 1, 3, {0, 1, 2})
+def test_square_through_vertex_matches_brute_force(case, k, pmax, cands):
     n, edges, colors, v = case
     g = Graph(n)
     for a, b in edges:
         g.add_edge(a, b)
-    want = _naive_square_through(g.adj, colors, v, k, pmax)
-    assert _square_through_vertex(g, list(colors), v, k, pmax) == want
+    got = _square_through_vertex(g, list(colors), v, k, pmax, cands)
+    for c in range(4):
+        colors[v] = c
+        assert (c in got) == (c in cands and _naive_square_through(g.adj, colors, v, k, pmax))
 
 
 def test_graph_json_round_trip():

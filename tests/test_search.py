@@ -6,7 +6,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonrep.graphs import Coloring, Graph, path_graph, stacked_triangulation, verify_coloring
+from nonrep.graphs import (
+    Coloring,
+    Graph,
+    leveled_outerplanar,
+    outerplanar_U,
+    path_graph,
+    stacked_triangulation,
+    verify_coloring,
+)
 from nonrep.search import (
     PiResult,
     SearchBudget,
@@ -140,6 +148,51 @@ def test_budget_validation():
         SearchBudget(node_limit=0)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=0)
+    with pytest.raises(ValueError):
+        SearchBudget(time_limit=float("nan"))  # would run with no deadline
+
+
+def test_extend_word_search_refuses_alphabet_past_ten():
+    # symbols are single digits: an 11th would read as the two symbols "1" "0"
+    with pytest.raises(ValueError, match="alphabet"):
+        extend_word_search(11, 1, 5)
+    assert extend_word_search(10, 1, 5).word == "01020"
+
+
+# PiResult (lower, upper, exhausted, nodes, witness) as the search computed it
+# when each color tried at a vertex had a kernel call of its own: the same
+# values show that deciding a vertex's candidates in one walk leaves the search
+# tree, the node count and the bounds at a budget stop as they were
+_PINNED_PI = [
+    ("U4", 1, 3000, (5, None, True, 3001, None)),
+    ("U4", 2, 3000, (4, None, True, 3001, None)),
+    ("G2", 1, 200, (6, None, True, 201, None)),
+    ("G2", 2, 400, (4, None, True, 401, None)),
+    ("lev2x4", 1, 3000, (5, None, True, 3001, None)),
+    ("lev2x4", 2, 400, (3, None, True, 401, None)),
+    ("lev2x4", 2, None,
+     (4, 4, False, 1204, (0, 0, 0, 1, 2, 1, 1, 1, 2, 2, 2, 2, 3, 0, 2, 0, 3, 0, 3, 2, 2))),
+    ("G1", 1, None, (5, 5, False, 63, (0, 1, 2, 3, 3, 4, 4, 4))),
+    ("G1", 2, None, (4, 4, False, 316, (0, 1, 2, 3, 0, 0, 0, 0))),
+    ("U3", 1, None, (5, 5, False, 256, (0, 1, 2, 0, 3, 0, 1, 0, 4))),
+    ("U3", 2, None, (3, 3, False, 56, (0, 0, 0, 1, 2, 0, 1, 1, 1))),
+]
+_PINNED_GRAPHS = {
+    "U3": lambda: outerplanar_U(3),
+    "U4": lambda: outerplanar_U(4),
+    "G1": lambda: stacked_triangulation(1),
+    "G2": lambda: stacked_triangulation(2),
+    "lev2x4": lambda: leveled_outerplanar(2, 4),
+}
+
+
+@pytest.mark.parametrize("name, k, node_limit, want", _PINNED_PI,
+                         ids=[f"{n}-k{k}-{lim}" for n, k, lim, _ in _PINNED_PI])
+def test_pi_k_exact_pinned(name, k, node_limit, want):
+    budget = SearchBudget() if node_limit is None else SearchBudget(node_limit=node_limit)
+    res = pi_k_exact(_PINNED_GRAPHS[name](), k, budget)
+    witness = res.witness.colors if res.witness else None
+    assert (res.lower, res.upper, res.exhausted, res.nodes, witness) == want
 
 
 @settings(max_examples=25, deadline=None)
