@@ -23,7 +23,7 @@ from .words import (
     generate_powerfree_ternary,
 )
 from .repetitions import PowerFreeSpec, is_d_directed, is_power_free
-from .treecert import BranchCheckSpec, ConfigurationError, certify_morphic_tree_coloring
+from .treecert import BranchCheckSpec, certify_morphic_tree_coloring
 from .graphs import (
     Coloring,
     Graph,
@@ -35,10 +35,6 @@ from .graphs import (
     verify_coloring,
 )
 from .search import SearchBudget, extend_word_search, pi_k_exact
-
-
-class UsageError(Exception):
-    pass
 
 
 def _rational(s: str) -> Fraction:
@@ -56,7 +52,7 @@ def _morphism(name: str) -> Morphism:
     if os.path.exists(name):
         with open(name) as fh:
             return Morphism.from_text(fh.read())
-    raise UsageError(f"unknown morphism {name!r} (not a named morphism or a file)")
+    raise ValueError(f"unknown morphism {name!r} (not a named morphism or a file)")
 
 
 def _default_budget() -> SearchBudget:
@@ -78,14 +74,12 @@ def cmd_word(args) -> int:
             return 0
         print(f"violation: {rep.describe()}")
         return 1
-    if args.action == "check-directed":
-        bad = is_d_directed(args.word, args.d)
-        if bad is None:
-            print("directed")
-            return 0
-        print(f"violation: factor {bad[0]!r} and reversal {bad[1]!r} both occur")
-        return 1
-    raise UsageError(f"unknown word action {args.action!r}")
+    bad = is_d_directed(args.word, args.d)
+    if bad is None:
+        print("directed")
+        return 0
+    print(f"violation: factor {bad[0]!r} and reversal {bad[1]!r} both occur")
+    return 1
 
 
 def cmd_morphism(args) -> int:
@@ -128,20 +122,18 @@ def cmd_graph(args) -> int:
         else:
             print(text)
         return 0
-    if args.action == "verify":
-        with open(args.graph) as fh:
-            g = Graph.from_json_dict(json.load(fh))
-        colors = tuple(int(c) for c in args.colors.split(","))
-        coloring = Coloring(colors, max(colors) + 1)
-        max_path = g.n if args.max_path is None else args.max_path
-        hit = verify_coloring(g, coloring, args.k, max_path)
-        if hit is None:
-            print("no violating path")
-            return 0
-        path, rep = hit
-        print(f"violation on path {list(path)}: {rep.describe()}")
-        return 1
-    raise UsageError(f"unknown graph action {args.action!r}")
+    with open(args.graph) as fh:
+        g = Graph.from_json_dict(json.load(fh))
+    colors = tuple(int(c) for c in args.colors.split(","))
+    coloring = Coloring(colors, max(colors) + 1)
+    max_path = g.n if args.max_path is None else args.max_path
+    hit = verify_coloring(g, coloring, args.k, max_path)
+    if hit is None:
+        print("no violating path")
+        return 0
+    path, rep = hit
+    print(f"violation on path {list(path)}: {rep.describe()}")
+    return 1
 
 
 def cmd_search(args) -> int:
@@ -163,14 +155,12 @@ def cmd_search(args) -> int:
         }
         print(json.dumps(doc, sort_keys=True))
         return 0 if res.value is not None else 1
-    if args.action == "word":
-        res = extend_word_search(args.alphabet, args.k, args.target, budget)
-        status = "reached" if res.reached_target else (
-            "exhausted" if res.exhausted else "max"
-        )
-        print(f"{status} length {len(res.word)}: {res.word}")
-        return 0 if res.reached_target else 1
-    raise UsageError(f"unknown search action {args.action!r}")
+    res = extend_word_search(args.alphabet, args.k, args.target, budget)
+    status = "reached" if res.reached_target else (
+        "exhausted" if res.exhausted else "max"
+    )
+    print(f"{status} length {len(res.word)}: {res.word}")
+    return 0 if res.reached_target else 1
 
 
 def cmd_suite(args) -> int:
@@ -281,7 +271,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, ConfigurationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigurationError and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,10 +18,6 @@ from itertools import chain
 from .repetitions import Repetition, _tail_hit
 
 
-class SearchExhausted(Exception):
-    """A guarded enumeration hit its budget before reaching a verdict."""
-
-
 def _json_list(value, key: str, size: int | None = None, ints: bool = False) -> list:
     """value, checked to be a list (of length size, if given; of ints, if
     ints); ValueError naming the graph JSON key otherwise."""
@@ -452,15 +448,15 @@ def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int, pmax: in
     return bad
 
 
-def _least_violation(g: Graph, colors, k: int, max_path: int, max_paths: int | None):
-    """verify_coloring's answer by a lexicographic path DFS, raising
-    SearchExhausted after max_paths path extensions.  Each extension asks only
-    whether a square ends at the new tail: one of period p does exactly when
-    the match run at period p reaches p."""
+def _least_violation(g: Graph, colors, k: int, max_path: int, limit: int = 0):
+    """verify_coloring's answer by a lexicographic path DFS, or False if it
+    needs more than `limit` path extensions (limit 0: no budget).  Each
+    extension asks only whether a square ends at the new tail: one of period p
+    does exactly when the match run at period p reaches p."""
     pmax = max_path // 2
     need = range(pmax + 1)  # a square of period p needs a run of p matches
     adjs = [sorted(a) for a in g.adj]
-    stop = 0 if max_paths is None else max_paths + 1  # 0: unbudgeted, counts start at 1
+    stop = limit + 1 if limit else 0  # 0: never reached, counts start at 1
     visited_paths = 0
     on_path = [False] * g.n
     for start in range(g.n):
@@ -489,7 +485,7 @@ def _least_violation(g: Graph, colors, k: int, max_path: int, max_paths: int | N
             on_path[u] = True
             visited_paths += 1
             if visited_paths == stop:
-                raise SearchExhausted(f"path budget {max_paths} exceeded")
+                return False
             hi = (m + 1) // 2  # the longest period of a square ending at m
             if hi >= k:
                 p = _tail_hit(seq, m, k, hi if hi < pmax else pmax, need)
@@ -506,11 +502,7 @@ def _least_violation(g: Graph, colors, k: int, max_path: int, max_paths: int | N
 
 
 def verify_coloring(
-    g: Graph,
-    coloring: Coloring,
-    k: int,
-    max_path: int,
-    max_paths: int | None = None,
+    g: Graph, coloring: Coloring, k: int, max_path: int
 ) -> tuple[tuple[int, ...], Repetition] | None:
     """None if no simple path with at most max_path vertices induces a color
     square of period >= k; otherwise the lexicographically least violating path
@@ -524,9 +516,7 @@ def verify_coloring(
     probe's budget to name the least violating path.  The sweep is exact: the
     last revealed vertex of a square path lies on it, and a path of at most
     max_path vertices holds a square of period >= k exactly when a square path
-    of 2h <= max_path vertices with h >= k exists.  max_paths bounds the path
-    extensions of each DFS run, not the sweep: a clean verdict never raises
-    SearchExhausted, a violation does when its path lies past max_paths.
+    of 2h <= max_path vertices with h >= k exists.
     """
     if k < 1 or max_path < 1:
         raise ValueError("need k >= 1 and max_path >= 1")
@@ -534,14 +524,12 @@ def verify_coloring(
         raise ValueError("coloring size mismatch")
     if max_path < 2 or g.n < 2:
         return None  # a square spans at least two vertices
-    probe = g.n if max_paths is None else min(g.n, max_paths)
-    try:
-        return _least_violation(g, coloring.colors, k, max_path, probe)
-    except SearchExhausted:
-        pass
+    hit = _least_violation(g, coloring.colors, k, max_path, g.n)
+    if hit is not False:
+        return hit
     revealed = [-1] * g.n
     for v, c in enumerate(coloring.colors):
         revealed[v] = c
         if _square_through_vertex(g, revealed, v, k, min(max_path, v + 1) // 2, (c,)):
-            return _least_violation(g, coloring.colors, k, max_path, max_paths)
+            return _least_violation(g, coloring.colors, k, max_path)
     return None

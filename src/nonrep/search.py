@@ -1,13 +1,17 @@
 """Exact searches: the minimum palette size for square-free path colorings of
-small graphs, and longest-word searches on paths."""
+small graphs (backtracking over colorings on the graphs square kernel), and
+longest-word searches on paths (the words module's free-word DFS, keyed on
+"no square of period >= k", under a node budget counted in symbols tried)."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .graphs import Graph, Coloring, _square_through_vertex, verify_coloring
-from .repetitions import _tail_hit
+from .repetitions import PowerFreeSpec
+from .words import _free_words
 
 
 @dataclass(frozen=True)
@@ -127,36 +131,15 @@ def extend_word_search(
     if alphabet > 10:
         raise ValueError(f"need alphabet <= 10, not {alphabet}: symbols are the digits 0-9")
     deadline = time.monotonic() + budget.time_limit
+    squares = PowerFreeSpec(Fraction(2), min_period=k, strict=False)
     nodes = 0
     best = ""
-    word: list[str] = []
-    need = range(target_len // 2 + 1)  # a square of period p needs a run of p matches
-
-    # explicit stack of next-symbol-to-try per depth (plain recursion would
-    # blow the interpreter limit well before target_len 1000)
-    next_try = [0]
-    res = False
-    while next_try:
-        if len(word) > len(best):
-            best = "".join(word)
-        if len(word) == target_len:
-            res = True
-            break
-        c = next_try[-1]
-        if c >= alphabet:
-            next_try.pop()
-            if word:
-                word.pop()
-            continue
-        next_try[-1] = c + 1
+    for word, kept in _free_words(alphabet, squares, target_len):
         nodes += 1
         if nodes > budget.node_limit or time.monotonic() > deadline:
-            res = None
-            break
-        word.append(str(c))
-        m = len(word) - 1
-        if _tail_hit(word, m, k, (m + 1) // 2, need) is None:
-            next_try.append(0)
-        else:
-            word.pop()
-    return WordSearchResult(best, res is True, res is None)
+            return WordSearchResult(best, False, True)
+        if kept and len(word) > len(best):
+            best = "".join(word)
+            if len(best) == target_len:
+                return WordSearchResult(best, True, False)
+    return WordSearchResult(best, False, False)

@@ -15,10 +15,14 @@ from fractions import Fraction
 from .repetitions import PowerFreeSpec, _tail_hit
 
 
+_DIGITS = "0123456789"
+
+
 def check_word(w: str, alphabet_size: int) -> None:
-    """Raise ValueError unless every symbol of w is a digit < alphabet_size."""
+    """Raise ValueError unless every symbol of w is an ASCII digit <
+    alphabet_size."""
     for ch in w:
-        if not ch.isdigit() or int(ch) >= alphabet_size:
+        if ch not in _DIGITS[:alphabet_size]:
             raise ValueError(f"symbol {ch!r} out of range for alphabet of size {alphabet_size}")
 
 
@@ -79,7 +83,7 @@ def apply_morphism(m: Morphism, w: str) -> str:
     """Concatenation of the images of the symbols of w, in order."""
     out = []
     for ch in w:
-        s = int(ch) if ch.isdigit() else -1
+        s = _DIGITS.find(ch)  # -1 for anything but an ASCII digit
         if not 0 <= s < m.source_alphabet_size:
             raise ValueError(f"symbol {ch!r} not in source alphabet of size {m.source_alphabet_size}")
         out.append(m.images[s])
@@ -107,35 +111,38 @@ NAMED_MORPHISMS = {"g2": G2, "g5": G5}
 TERNARY_THRESHOLD = PowerFreeSpec(Fraction(7, 4), min_period=1, strict=True)
 
 
-def _free_ternary_words(length: int):
-    """Yield, in lexicographic order, every ternary word of the given length
-    that satisfies TERNARY_THRESHOLD.  Depth-first extension with an explicit
-    stack: each new symbol is checked only for repetitions ending at it, since
-    every shorter prefix already passed."""
-    # a repetition of period p ending at the new symbol breaks the bound once
-    # it is lengths[p] long, i.e. once its match run reaches need[p]
-    lengths = [TERNARY_THRESHOLD.violation_length(p) for p in range(length + 1)]
-    need = [lengths[p] - p for p in range(length + 1)]
+def _free_words(alphabet: int, spec: PowerFreeSpec, length: int):
+    """Depth-first, lexicographic extension of the words over the digits
+    0..alphabet-1 that satisfy spec, up to the given length.  After each
+    symbol tried it yields the word (a list shared with the search, so valid
+    only until the next step) and whether that symbol was kept.  A new symbol
+    is checked only for repetitions ending at it, since every shorter prefix
+    already passed; an explicit stack keeps long words from recursing.
+
+    A repetition of period p ending at the new symbol breaks spec once it is
+    lengths[p] long, i.e. once its match run reaches need[p].  _tail_hit
+    needs need[p] >= 1, which every spec but the non-strict bound 1 meets."""
+    lengths = [spec.violation_length(p) for p in range(length + 1)]
+    need = [n - p for p, n in enumerate(lengths)]
+    lo = spec.min_period
+    symbols = _DIGITS[:alphabet]
     word: list[str] = []
-    tried = [0]  # tried[i]: how many symbols position i has tried so far
-    while tried:
-        if len(word) == length:
-            yield "".join(word)
-            tried[-1] = 3  # a full-length word has no extensions to try
-        c = tried[-1]
-        if c == 3:
-            tried.pop()
+    stack = [iter(symbols)]  # per depth, the symbols still to try there
+    while stack:
+        for s in stack[-1]:
+            word.append(s)
+            m = len(word) - 1
+            hi = bisect_right(lengths, m + 1) - 1  # the periods a violation fits
+            kept = _tail_hit(word, m, lo, hi, need) is None
+            yield word, kept
+            if kept and m + 1 < length:
+                stack.append(iter(symbols))
+                break
+            word.pop()
+        else:
+            stack.pop()
             if word:
                 word.pop()
-            continue
-        tried[-1] = c + 1
-        word.append("012"[c])
-        m = len(word) - 1
-        hi = bisect_right(lengths, m + 1) - 1  # the periods a violation fits
-        if _tail_hit(word, m, 1, hi, need) is None:
-            tried.append(0)
-        else:
-            word.pop()
 
 
 def iter_powerfree_ternary(length: int):
@@ -143,7 +150,12 @@ def iter_powerfree_ternary(length: int):
     repetition of exponent > 7/4, in lexicographic order."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    yield from _free_ternary_words(length)
+    if length == 0:
+        yield ""
+        return
+    for word, kept in _free_words(3, TERNARY_THRESHOLD, length):
+        if kept and len(word) == length:
+            yield "".join(word)
 
 
 _MARGIN = 50
@@ -159,7 +171,9 @@ def generate_powerfree_ternary(length: int) -> str:
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    word = next(_free_ternary_words(length + _MARGIN), None)
+    n = length + _MARGIN
+    words = (w for w, kept in _free_words(3, TERNARY_THRESHOLD, n) if kept and len(w) == n)
+    word = next(words, None)
     if word is None:
         raise RuntimeError("no extendable power-free word found; margin too small")
-    return word[:length]
+    return "".join(word[:length])

@@ -295,6 +295,17 @@ def test_search_word_alphabet_past_ten_exit_2(capsys):
     assert_usage_error(capsys, ["search", "word", "--alphabet", "11", "--k", "1", "--target", "5"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["word", "check-free", "--beta", "7/4", "0\uff10"],  # "00" with a full-width 0
+    ["word", "check-directed", "--d", "2", "0\uff1110"],  # "0110" with a full-width 1
+    ["morphism", "apply", "--morphism", "g2", "\uff10"],
+], ids=["check-free", "check-directed", "morphism-apply"])
+def test_non_ascii_digit_exit_2(capsys, argv):
+    # str.isdigit() accepts full-width digits, whose code points the
+    # repetition checks would compare instead of their values
+    assert_usage_error(capsys, argv)
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

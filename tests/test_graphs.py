@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from nonrep.graphs import (
     Coloring,
     Graph,
-    SearchExhausted,
+    _least_violation,
     _square_through_vertex,
     check_3tree,
     complete_tree,
@@ -251,25 +251,19 @@ def test_u_witness_examples():
             u_witness(i, stacked_triangulation(i).n, 1)
 
 
-def enumerate_paths(g: Graph, max_vertices: int, max_paths: int | None = None):
+def enumerate_paths(g: Graph, max_vertices: int):
     """Yield every simple path with 2..max_vertices vertices exactly once up to
     reversal, oriented with the lexicographically smaller endpoint first.
-    Raises SearchExhausted if a path-count budget is given and hit.  This is
-    the path source of the naive verifier below."""
+    This is the path source of the naive verifier below."""
     if max_vertices < 2:
         raise ValueError("need max_vertices >= 2")
-    count = 0
     path = []
     on_path = [False] * g.n
 
     def rec(v):
-        nonlocal count
         path.append(v)
         on_path[v] = True
         if len(path) >= 2 and path[0] < path[-1]:
-            count += 1
-            if max_paths is not None and count > max_paths:
-                raise SearchExhausted(f"path budget {max_paths} exceeded")
             yield tuple(path)
         if len(path) < max_vertices:
             for u in sorted(g.adj[v]):
@@ -413,21 +407,21 @@ def test_verify_coloring_short_paths():
         verify_coloring(path_graph(3), Coloring((0, 0, 0), 1), 1, 0)
 
 
-def test_verify_coloring_max_paths_counts_dfs_extensions():
-    # a clean verdict comes from the sweep and ignores the path budget
-    assert verify_coloring(path_graph(4), Coloring((0, 1, 0, 2), 3), 1, 4, max_paths=1) is None
+def test_verify_coloring_names_violation_past_the_probe():
+    # a clean verdict comes from the sweep once the probe runs out
+    g = path_graph(4)
+    coloring = Coloring((0, 1, 0, 2), 3)
+    assert _least_violation(g, coloring.colors, 1, 4, 1) is False
+    assert verify_coloring(g, coloring, 1, 4) is None
     # a square-free path 0..5 and, apart from it, an edge of one color: the
     # DFS spends 30 extensions on the path before it reaches the edge, past
-    # the probe's 8, so the naming run meets the budget
+    # the probe's 8, so the sweep finds the square and a second run names it
     g = path_graph(6)
     g.add_vertex()
     g.add_vertex((6,))
     coloring = Coloring((0, 1, 0, 2, 0, 1, 2, 2), 3)
-    with pytest.raises(SearchExhausted):
-        verify_coloring(g, coloring, 1, g.n, max_paths=20)
-    want = ((6, 7), Repetition(0, 2, 1))
-    assert verify_coloring(g, coloring, 1, g.n) == want
-    assert verify_coloring(g, coloring, 1, g.n, max_paths=31) == want
+    assert _least_violation(g, coloring.colors, 1, g.n, g.n) is False
+    assert verify_coloring(g, coloring, 1, g.n) == ((6, 7), Repetition(0, 2, 1))
 
 
 def _naive_square_through(adj, colors, v, k, pmax) -> bool:

@@ -1,6 +1,7 @@
 """Tooling guards.  No module of the package keeps a module-level import it
 never uses (no linter is a dependency, so the check reads the syntax tree
-itself; `__init__.py` is skipped: its imports are the package's re-exports).
+itself; `__init__.py` is skipped: its imports are the package's re-exports),
+and none uses `assert`, which `python -O` strips, as a runtime check.
 The certificate path does not import numpy, which would add about 11 MB to the
 resident size of a process that peaks near 22 MB."""
 
@@ -41,6 +42,20 @@ def test_unused_imports_detected():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def asserts(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_asserts_detected():
+    assert asserts("x = 1\nif x:\n    assert x, 'msg'\n") == [3]
+    assert asserts("def f():\n    return 'assert'\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert asserts(path.read_text()) == []
 
 
 def test_certificate_path_imports_no_numpy():

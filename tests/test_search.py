@@ -129,6 +129,24 @@ def test_extend_word_search_lex_least():
         assert extend_word_search(3, k, length).word == want
 
 
+# (alphabet, k, target, node_limit) -> (word, reached, exhausted): two budget
+# stops, and the longest binary word with no square of period >= 2, which has
+# 18 letters (Entringer, Jackson & Schatz 1974; the reason pi_2(tree) >= 3)
+_PINNED_WORDS = [
+    ((2, 2, 30, 50), ("000111000110010", False, True)),
+    ((3, 1, 100, 40), ("0102012021012010201", False, True)),
+    ((2, 2, 19, None), ("010011000111001101", False, False)),
+]
+
+
+@pytest.mark.parametrize("args, want", _PINNED_WORDS, ids=[str(a) for a, _ in _PINNED_WORDS])
+def test_extend_word_search_pinned(args, want):
+    alphabet, k, target, node_limit = args
+    budget = SearchBudget() if node_limit is None else SearchBudget(node_limit=node_limit)
+    res = extend_word_search(alphabet, k, target, budget)
+    assert (res.word, res.reached_target, res.exhausted) == want
+
+
 def test_ternary_squarefree_never_dead_ends():
     res = extend_word_search(3, 1, 1000)
     assert res.reached_target and not res.exhausted

@@ -42,6 +42,8 @@ def test_check_word():
         check_word("013", 3)
     with pytest.raises(ValueError):
         check_word("0a", 3)
+    with pytest.raises(ValueError):
+        check_word("0\uff11", 3)  # a full-width 1
 
 
 def test_factors():
@@ -85,6 +87,8 @@ def test_apply_morphism_examples():
     assert apply_morphism(G2, "01") == "011220012201122001120012"
     with pytest.raises(ValueError):
         apply_morphism(G2, "3")
+    with pytest.raises(ValueError):
+        apply_morphism(G2, "\uff10")  # a full-width 0
 
 
 @given(ternary_words, ternary_words)
