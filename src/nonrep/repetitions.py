@@ -13,7 +13,10 @@ exactly when it reaches r.  The run has two forms:
   mask per symbol (`_symbol_masks`), whose shifted ANDs give the match mask
   of a period (`_match_mask`), whose shifted ANDs in turn give the indices
   where the run reaches r (`_run_reaches`), in O(log r) big-int operations
-  (Shift-And: Baeza-Yates & Gonnet, CACM 1992; Myers, JACM 1999).
+  (Shift-And: Baeza-Yates & Gonnet, CACM 1992; Myers, JACM 1999).  The
+  freeness check's per-period loop is the generator `_violation_ends`,
+  which the tree certificate also runs over many images packed into one set
+  of masks.
 
 The oracle tests pin both forms against slice comparisons.
 """
@@ -51,7 +54,10 @@ class PowerFreeSpec:
     with period at least min_period.
 
     strict=True forbids exponent strictly greater than the bound (the "beta-plus"
-    reading); strict=False also forbids exponent equal to the bound.
+    reading); strict=False also forbids exponent equal to the bound.  Every
+    factor has exponent >= 1, so the non-strict bound 1 is refused: it would
+    forbid every word.  Any other spec needs a match run of at least one
+    symbol for a violation.
     """
 
     exponent_bound: Fraction
@@ -61,13 +67,15 @@ class PowerFreeSpec:
     def __post_init__(self):
         if self.exponent_bound < 1:
             raise ValueError("exponent bound must be >= 1")
+        if self.exponent_bound == 1 and not self.strict:
+            raise ValueError("a non-strict exponent bound of 1 forbids every word; use a strict bound")
         if self.min_period < 1:
             raise ValueError("min period must be >= 1")
 
     def violation_length(self, period: int) -> int:
         """The least length at which a factor with this period breaks the
         exponent bound (min_period aside)."""
-        num, den = self.exponent_bound.numerator, self.exponent_bound.denominator
+        num, den = self.exponent_bound.as_integer_ratio()
         if self.strict:
             return (num * period) // den + 1
         return -(-(num * period) // den)
@@ -92,13 +100,16 @@ def _tail_hit(seq, m: int, lo: int, hi: int, need) -> int | None:
     return None
 
 
-def _symbol_masks(w: str) -> list[int]:
-    """One int per distinct symbol of w, with bit j set where w[j] is that
-    symbol."""
+def _symbol_masks(w: str, blank: str | None = None) -> list[int]:
+    """One int per distinct symbol of w other than blank, with bit j set
+    where w[j] is that symbol; positions holding blank are in no mask."""
     rev = w[::-1]
     table = dict.fromkeys(map(ord, set(w)), "0")
+    skip = None if blank is None else ord(blank)
     masks = []
     for c in table:
+        if c == skip:
+            continue
         table[c] = "1"
         masks.append(int(rev.translate(table), 2))
         table[c] = "0"
@@ -142,22 +153,25 @@ def find_squares(w: str, min_period: int, max_period: int) -> list[Repetition]:
     return [Repetition(start, 2 * p, p) for start, p in hits]
 
 
+def _violation_ends(masks: list[int], n: int, spec: PowerFreeSpec):
+    """For each period p >= spec.min_period whose violation fits in n
+    symbols, in order: (p, violation length, match mask, the bits j where a
+    violating factor of period p ends), i.e. where the match run at p reaches
+    the violation length minus p, which is at least 1."""
+    for p in range(spec.min_period, n):
+        length = spec.violation_length(p)
+        if length > n:
+            return
+        eq = _match_mask(masks, p)
+        yield p, length, eq, _run_reaches(eq, length - p)
+
+
 def is_power_free(w: str, spec: PowerFreeSpec) -> Repetition | None:
     """None if w contains no repetition violating spec; otherwise the violating
     repetition with smallest start, then smallest period, reported at its
     maximal length (the full periodic run)."""
-    n = len(w)
-    masks = _symbol_masks(w)
     best = None  # (start, period, match mask)
-    for p in range(spec.min_period, n):
-        length = spec.violation_length(p)
-        if length > n:
-            break
-        need = length - p
-        if need < 1:
-            continue
-        eq = _match_mask(masks, p)
-        ends = _run_reaches(eq, need)
+    for p, length, eq, ends in _violation_ends(_symbol_masks(w), len(w), spec):
         if best is not None:
             # once a violation starts at s, only starts before s can beat it
             ends &= (1 << (best[0] + length - 1)) - 1
@@ -169,7 +183,7 @@ def is_power_free(w: str, spec: PowerFreeSpec) -> Repetition | None:
         return None
     start, p, eq = best
     # the periodic run ends at the first mismatch past the violation; the
-    # mask has no bits at or beyond n, so that is at most n
+    # mask has no bits at or beyond len(w), so that is at most len(w)
     end = start + spec.violation_length(p)
     tail = eq >> end
     end += ((tail + 1) & ~tail).bit_length() - 1

@@ -29,6 +29,16 @@ freeness for aligned p).  Periods whose bound already falls short of the run a
 violation would require are excluded statically; the finitely many remaining
 periods are checked exhaustively on images of all threshold-free source words
 of a sufficient fixed length.
+
+Those images all have one length L, and the direct checks run on all of them
+at once (`_Packed`): the images are laid end to end in one int bit mask per
+symbol, each followed by a gap of L positions that no mask sets.  Every
+period checked is at most L, so no match run and no mirror pair of the
+center scan reaches across a gap, and one pass per period over the packed
+masks answers a check for every image.  The lowest hit, divided by the
+stride 2L, names the first failing source word; the per-image check then
+names its counterexample exactly as it would alone.  Images are packed in
+chunks of at most _PACK_BITS bits, so memory does not grow with factor_len.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil
 
 from .words import (
@@ -44,8 +55,8 @@ from .words import (
     factors,
     iter_powerfree_ternary,
 )
-from .repetitions import (PowerFreeSpec, Repetition, _match_mask, _reversal_pair,
-                          _run_reaches, _symbol_masks, find_squares, is_power_free)
+from .repetitions import (PowerFreeSpec, Repetition, _match_mask, _reversal_pair, _run_reaches,
+                          _symbol_masks, _violation_ends, find_squares, is_power_free)
 from .graphs import Coloring, complete_tree
 
 
@@ -180,12 +191,15 @@ def _dynamic_periods(st: MorphismStructure, lo: int, needed, slope: Fraction) ->
     of needed(p) match-run symbols, i.e. those still requiring an exhaustive
     check.
 
-    needed must grow linearly with exact slope: needed(p + W) - needed(p) >=
-    slope*W - 1 for the window W below.  For aligned periods the bound grows by
-    exactly (3/4)*W per window (W is a multiple of 4*width) and misaligned
-    bounds are constant, so with slope > 3/4 the deficit strictly increases
-    window over window; one fully static window therefore proves every larger
-    period static, which is the stopping rule."""
+    needed must not decrease and must grow linearly with exact slope:
+    needed(p + W) - needed(p) >= slope*W - 1 for the window W below.  For
+    aligned periods the bound grows by exactly (3/4)*W per window (W is a
+    multiple of 4*width) and misaligned bounds are constant, so with slope >
+    3/4 the deficit strictly increases window over window; one fully static
+    window therefore proves every larger period static, which is the stopping
+    rule.  Past the first static misaligned period every misaligned period is
+    static, so the walk steps from one aligned period to the next and counts
+    the periods between toward the window."""
     slope = Fraction(slope)
     if slope <= Fraction(3, 4):
         raise ConfigurationError(
@@ -193,10 +207,18 @@ def _dynamic_periods(st: MorphismStructure, lo: int, needed, slope: Fraction) ->
             "cannot exclude large periods"
         )
     window = 8 * st.width * slope.denominator
+    misaligned = st.misaligned_run_bound()
     out: list[int] = []
     streak = 0
+    aligned_only = False
     p = lo
     while streak < window:
+        if p % st.width and (aligned_only or misaligned is not None and needed(p) > misaligned):
+            aligned_only = True
+            skip = -p % st.width
+            streak += skip
+            p += skip
+            continue
         rb = st.run_bound(p)
         if rb is None:
             raise ConfigurationError(
@@ -216,6 +238,45 @@ def _dynamic_periods(st: MorphismStructure, lo: int, needed, slope: Fraction) ->
 # per-image dynamic checks
 
 
+def _crossing_centers(masks: list[int], everywhere: int, p: int):
+    """For one period p: (delta, centers) from the largest feasible delta
+    down to 1, where centers has bit i set when a square of period p in the
+    palindromic branch word over img[:i + 1] ends delta symbols past center i.
+    masks are the symbol masks of the word and everywhere the mask of its
+    symbol positions.
+
+    It first ANDs the mirror masks for delta = 1, 2, ... (the delta-th has
+    bit i set when the first delta mirror pairs img[i-p+j] == img[i-j] agree)
+    until none is left.  Then, from the largest such delta down, it meets each
+    with the mask of centers whose trailing match run reaches p - delta, which
+    one shifted AND of the match mask narrows per step.
+
+    No separate cut enforces delta <= i and the fit left of the center,
+    i >= 2p - 1 - delta: a mirror pair at j = delta reads img[i - delta], a
+    run of p - delta >= 1 matches ending at i reads back to
+    img[i - 2p + 1 + delta], and at delta = p the mirror pairs read back to
+    img[i - p].  Bits whose reads fall before a word's first symbol are never
+    set, and neither are bits where no symbol is."""
+    mirrors = [everywhere]
+    for delta in range(1, p + 1):
+        # bit i: img[i - p + delta] == img[i - delta]
+        pair = 0
+        for m in masks:
+            pair |= (m << delta) & (m << (p - delta))
+        pair &= mirrors[-1]
+        if not pair:
+            break
+        mirrors.append(pair)
+    top = len(mirrors) - 1
+    if not top:
+        return
+    eq = _match_mask(masks, p)
+    reach = _run_reaches(eq, p - top) if top < p else everywhere
+    for delta in range(top, 0, -1):
+        yield delta, mirrors[delta] & reach
+        reach &= eq << (p - delta)
+
+
 def _scan_image_centers(img: str, periods):
     """Search for a feasible center-crossing square inside palindromic branch
     words built over prefixes of img.
@@ -228,45 +289,26 @@ def _scan_image_centers(img: str, periods):
     delta > p reduce to delta' = 2p - 1 - delta by the palindrome's mirror
     symmetry, and delta = 0 squares lie inside the image itself.
 
-    Per period the scan works on bit masks over the centers i.  It first
-    ANDs the mirror masks for delta = 1, 2, ... (the delta-th has bit i set
-    when the first delta mirror pairs agree) until none is left.  Then, from
-    the largest such delta down, it meets each with the mask of centers whose
-    run reaches p - delta, which one shifted AND of the match mask narrows
-    per step.  A center whose least admissible delta is delta shows up at
-    that delta.
+    Per period the scan works on bit masks over the centers i
+    (`_crossing_centers`); a center whose least admissible delta is delta
+    shows up at that delta.  The packed certificate pass (`_Packed`) ORs the
+    same masks over many images laid end to end, each followed by a gap of
+    len(img) empty positions.  Each bit of a match or mirror mask reads
+    positions at most p <= len(img) before it, so a read past an image's
+    start lands in the gap, never in the image before: no bit mixes two
+    images, and the centers of one image are those of its own scan.
 
     Returns (center, delta, Repetition-in-branch-word) for the least period,
     then the least center, then the least delta; or None."""
-    L = len(img)
-    everywhere = (1 << L) - 1
     masks = _symbol_masks(img)
+    everywhere = (1 << len(img)) - 1
     for p in periods:
-        mirrors = [everywhere]
-        for delta in range(1, p + 1):
-            # bit i: img[i - p + delta] == img[i - delta]
-            pair = 0
-            for m in masks:
-                pair |= (m << delta) & (m << (p - delta))
-            pair &= mirrors[-1]
-            if not pair:
-                break
-            mirrors.append(pair)
-        top = len(mirrors) - 1
-        if not top:
-            continue
-        eq = _match_mask(masks, p)
-        reach = _run_reaches(eq, p - top) if top < p else everywhere
         best = None
-        for delta in range(top, 0, -1):
-            # the square fits left of the center and delta <= i
-            lo = max(2 * p - 1 - delta, delta)
-            centers = (mirrors[delta] & reach) >> lo
+        for delta, centers in _crossing_centers(masks, everywhere, p):
             if centers:
-                i = lo + (centers & -centers).bit_length() - 1
+                i = (centers & -centers).bit_length() - 1
                 if best is None or i <= best[0]:
                     best = (i, delta)
-            reach &= eq << (p - delta)
         if best is None:
             continue
         i, delta = best
@@ -280,6 +322,74 @@ def _scan_image_centers(img: str, periods):
             )
         return i, delta, Repetition(start, 2 * p, p)
     return None
+
+
+_PACK_BITS = 1 << 16  # bits per packed chunk, at most
+
+
+def _chunks(items, length: int):
+    """Consecutive runs of items, as many per list as fit in _PACK_BITS when
+    each packs to 2 * length bits, so that memory does not grow with the
+    number of items."""
+    per = max(1, _PACK_BITS // (2 * length))
+    it = iter(items)
+    while chunk := list(islice(it, per)):
+        yield chunk
+
+
+class _Packed:
+    """Words of one length L laid end to end in one int mask per symbol,
+    each word followed by a gap of L positions that no mask sets: word j
+    occupies bits j*stride .. j*stride + L - 1, with stride = 2L.
+
+    Every period checked is at most L, so a match run or mirror pair never
+    crosses a gap (see `_scan_image_centers`), and one pass per period
+    answers a check for all words at once.  Each *_hits method ORs the
+    per-period hit masks of one check, on the loop body that the per-word
+    check runs; `first` names the word of the lowest hit."""
+
+    def __init__(self, words: list[str]):
+        self.length = len(words[0])
+        self.stride = 2 * self.length
+        self.masks = _symbol_masks((" " * self.length).join(words), blank=" ")
+        self.everywhere = 0
+        for m in self.masks:
+            self.everywhere |= m
+
+    def first(self, hits: int) -> int | None:
+        """The index of the first word with a bit in hits, or None."""
+        return ((hits & -hits).bit_length() - 1) // self.stride if hits else None
+
+    def free_hits(self, spec: PowerFreeSpec) -> int:
+        """Ends of repetitions violating spec (`is_power_free`)."""
+        hits = 0
+        for _, _, _, ends in _violation_ends(self.masks, self.length, spec):
+            hits |= ends
+        return hits
+
+    def square_hits(self, lo: int, hi: int) -> int:
+        """Ends of squares of period in [lo, hi] (`find_squares`)."""
+        hits = 0
+        for p in range(lo, hi + 1):
+            hits |= _run_reaches(_match_mask(self.masks, p), p)
+        return hits
+
+    def scan_hits(self, periods) -> int:
+        """Centers with a crossing square of a period in periods
+        (`_scan_image_centers`)."""
+        hits = 0
+        for p in periods:
+            for _, centers in _crossing_centers(self.masks, self.everywhere, p):
+                hits |= centers
+        return hits
+
+
+def _image_cx(src: str, img: str, rep: Repetition | None) -> dict:
+    """The counterexample record of an image the packed pass flagged; rep is
+    what the per-image check found there."""
+    if rep is None:
+        raise RuntimeError(f"packed pass flagged the image of {src} but its own check passes")
+    return {"source": src, "image": img, "repetition": _rep_dict(rep)}
 
 
 def _fmt_frac(x: Fraction) -> str:
@@ -416,35 +526,38 @@ def certify_morphic_tree_coloring(
     free_cx = square_cx = scan_cx = None
     dir_factors: set[str] = set()
     source_words = 0
-    for src in iter_powerfree_ternary(factor_len):
-        source_words += 1
-        img = apply_morphism(m, src)
-        clean = False
+    length = factor_len * width
+    clean_hi = min(n - 1, length // 2)
+    for chunk in _chunks(iter_powerfree_ternary(factor_len), length):
+        source_words += len(chunk)
+        imgs = [apply_morphism(m, src) for src in chunk]
+        if d <= length:
+            for img in imgs:
+                dir_factors |= factors(img, d)
+        if free_cx is not None and square_cx is not None and scan_cx is not None:
+            continue
+        packed = _Packed(imgs)
+        # the images before the first freeness failure
+        clean = 0 if free_cx is not None else len(imgs)
         if free_cx is None:
-            rep = is_power_free(img, free_spec)
-            clean = rep is None
-            if not clean:
-                free_cx = {"source": src, "image": img, "repetition": _rep_dict(rep)}
+            j = packed.first(packed.free_hits(free_spec))
+            if j is not None:
+                clean = j
+                free_cx = _image_cx(chunk[j], imgs[j], is_power_free(imgs[j], free_spec))
         if square_cx is None:
-            # a square has exponent 2 > beta, so freeness just passed on this
-            # image leaves it no square of period >= n
-            hi = min(n - 1, len(img) // 2) if clean else len(img) // 2
-            sq = find_squares(img, k, hi) if k <= hi else None
-            if sq:
-                square_cx = {"source": src, "image": img, "repetition": _rep_dict(sq[0])}
-        if d <= len(img):
-            dir_factors |= factors(img, d)
+            # a square has exponent 2 > beta, so an image that passed
+            # freeness has no square of period >= n; from the first freeness
+            # failure on, every period up to length // 2 is checked
+            hi = clean_hi if clean == len(imgs) else length // 2
+            j = packed.first(packed.square_hits(k, hi))
+            if j is not None:
+                sq = find_squares(imgs[j], k, clean_hi if j < clean else length // 2)
+                square_cx = _image_cx(chunk[j], imgs[j], sq[0] if sq else None)
         if scan_cx is None:
-            hit = _scan_image_centers(img, scan_dyn)
-            if hit is not None:
-                i, delta, rep = hit
-                scan_cx = {
-                    "source": src,
-                    "image": img,
-                    "center": i,
-                    "delta": delta,
-                    "repetition": _rep_dict(rep),
-                }
+            j = packed.first(packed.scan_hits(scan_dyn))
+            if j is not None:
+                i, delta, rep = _scan_image_centers(imgs[j], scan_dyn) or (None, None, None)
+                scan_cx = {"center": i, "delta": delta, **_image_cx(chunk[j], imgs[j], rep)}
 
     pair = _reversal_pair(dir_factors)
     dir_cx = None if pair is None else {"factor": pair[0], "reversal": pair[1]}

@@ -121,7 +121,8 @@ def _free_words(alphabet: int, spec: PowerFreeSpec, length: int):
 
     A repetition of period p ending at the new symbol breaks spec once it is
     lengths[p] long, i.e. once its match run reaches need[p].  _tail_hit
-    needs need[p] >= 1, which every spec but the non-strict bound 1 meets."""
+    needs need[p] >= 1, which every spec meets (`PowerFreeSpec` refuses the
+    non-strict bound 1)."""
     lengths = [spec.violation_length(p) for p in range(length + 1)]
     need = [n - p for p, n in enumerate(lengths)]
     lo = spec.min_period

@@ -1,7 +1,8 @@
 """One test per acceptance criterion.  Each delegates to the acceptance
 module, prints the one-line report entry, and asserts the verdict.  The
 rooted-tree enumerator behind criterion 6's monotonicity sweep is pinned
-against OEIS A000081 and an independent canonical form."""
+against OEIS A000081 and an independent canonical form; the inputs of
+criteria 7 and 9b are pinned against the exhaustive filters they replace."""
 
 import pytest
 
@@ -29,6 +30,29 @@ def test_rooted_trees_one_per_shape():
     for p in trees:
         assert p[0] == -1 and all(0 <= p[v] < v for v in range(1, len(p)))
     assert len({_ahu(p) for p in trees}) == len(trees)
+
+
+def test_proper_path_colorings_are_the_proper_binary_words():
+    # criterion 7 checks exactly the words the exhaustive filter keeps
+    for k in range(1, 5):
+        length = 4 * k
+        words = (format(x, f"0{length}b") for x in range(2 ** length))
+        proper = [w for w in words if all(w[i] != w[i + 1] for i in range(length - 1))]
+        assert acceptance._proper_path_colorings(length) == proper
+
+
+@pytest.mark.parametrize("max_vertices", [4, 5, 7])
+def test_atlas_graphs_are_the_filtered_atlas(max_vertices):
+    # the lazy reader is a private part of networkx: pin that it yields the
+    # graphs criterion 9b used to take from the full atlas list
+    import networkx as nx
+
+    def shape(g):
+        return g.number_of_nodes(), sorted(g.edges())
+
+    want = [shape(g) for g in nx.graph_atlas_g()
+            if 2 <= g.number_of_nodes() <= max_vertices and g.number_of_edges()]
+    assert [shape(g) for g in acceptance._atlas_graphs(max_vertices)] == want
 
 
 def _run(number):

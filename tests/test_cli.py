@@ -44,6 +44,15 @@ def test_word_check_directed(capsys):
     assert main(["word", "check-directed", "--d", "2", "012"]) == 0
 
 
+def test_non_strict_beta_one_exit_2(capsys):
+    # every factor has exponent >= 1, so a non-strict bound of 1 would forbid
+    # every word; it is refused rather than read as forbidding nothing
+    assert main(["word", "check-free", "--beta", "1", "01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert main(["word", "check-free", "--strict", "--beta", "1", "01"]) == 0
+
+
 def test_malformed_rational_exit_2(capsys):
     assert main(["word", "check-free", "--beta", "1.9", "00"]) == 2
     assert main(["word", "check-free", "--beta", "x/y", "00"]) == 2

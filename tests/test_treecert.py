@@ -1,20 +1,26 @@
 """Tests for the tree-coloring certificate machinery, including differential
 validation of the center-crossing scan against a naive palindromic scan that
-compares slices of every branch word."""
+compares slices of every branch word, and of the packed pass over many images
+against the per-image checks."""
 
 import json
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonrep.words import G2, G5, Morphism, PowerFreeSpec, apply_morphism, iter_powerfree_ternary
+from nonrep.words import (G2, G5, Morphism, PowerFreeSpec, apply_morphism, generate_powerfree_ternary,
+                          iter_powerfree_ternary)
 from nonrep import treecert
-from nonrep.repetitions import Repetition
+from nonrep.repetitions import Repetition, find_squares, is_power_free
 from nonrep.treecert import (
     BranchCheckSpec,
     ConfigurationError,
+    MorphismStructure,
+    _Packed,
+    _chunks,
     _dynamic_periods,
     _scan_image_centers,
     analyze_morphism_structure,
@@ -356,3 +362,213 @@ def test_level_tree_small_oracle():
     word = apply_morphism(G2, "010")
     g, coloring = build_level_tree(word, 6, 2)
     assert verify_coloring(g, coloring, 2, 13) is None
+
+
+# ---------------------------------------------------------------------------
+# the packed pass over many images against the per-image checks
+
+
+@st.composite
+def equal_length_words(draw):
+    """A list of words of one length L in 8..200, each random or a repeated
+    block with a few symbols changed, so that every check has hits."""
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    length = draw(st.integers(8, 200))
+    words = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            words.append(draw(st.text(alphabet, min_size=length, max_size=length)))
+            continue
+        block = draw(st.text(alphabet, min_size=1, max_size=12))
+        w = list((block * length)[:length])
+        for i in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+            w[i] = draw(st.sampled_from(alphabet))
+        words.append("".join(w))
+    return words
+
+
+def packed_flags(words, hits_of):
+    """The indices of the words a packed pass flags, chunk by chunk, after
+    checking that no hit lies in a gap and that `first` names the least."""
+    flagged = []
+    offset = 0
+    for chunk in _chunks(words, len(words[0])):
+        packed = _Packed(chunk)
+        hits = hits_of(packed)
+        assert hits & ~packed.everywhere == 0
+        block = (1 << packed.stride) - 1
+        mine = [j for j in range(len(chunk)) if (hits >> (j * packed.stride)) & block]
+        assert packed.first(hits) == (mine[0] if mine else None)
+        flagged += [offset + j for j in mine]
+        offset += len(chunk)
+    return flagged
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    equal_length_words(),
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(7, 4), Fraction(19, 10), Fraction(83, 42)]),
+    st.booleans(),
+    st.integers(1, 8),
+    st.integers(1, 40),
+    st.integers(0, 12),
+    st.sampled_from([0, 1, 3]),
+)
+def test_packed_pass_flags_the_words_each_check_fails(words, beta, strict, n, lo, extra, per_chunk):
+    # per_chunk 1 or 3 packs the list into several chunks; 0 keeps the
+    # module's chunk size
+    length = len(words[0])
+    strict = strict or beta == 1
+    spec = PowerFreeSpec(beta, min_period=n, strict=strict)
+    lo = min(lo, length // 2)
+    hi = min(lo + extra, length // 2)
+    periods = list(range(lo, min(lo + extra, length) + 1))
+    bits = 2 * length * per_chunk or treecert._PACK_BITS
+    with mock.patch.object(treecert, "_PACK_BITS", bits):
+        free = packed_flags(words, lambda pk: pk.free_hits(spec))
+        squares = packed_flags(words, lambda pk: pk.square_hits(lo, hi))
+        scan = packed_flags(words, lambda pk: pk.scan_hits(periods))
+    assert free == [i for i, w in enumerate(words) if is_power_free(w, spec) is not None]
+    assert squares == [i for i, w in enumerate(words) if find_squares(w, lo, hi)]
+    assert scan == [i for i, w in enumerate(words) if _scan_image_centers(w, periods) is not None]
+
+
+def test_packed_pass_past_one_chunk_of_the_module_size():
+    # 170 windows of 200 symbols of a g5 image do not fit in one chunk.  A
+    # g5 image has no square of period >= 5, so planting one of period 6
+    # past bit 128 of every tenth window makes exactly those fail freeness
+    # and the squares of periods 5..8, and gives them crossing squares
+    image = apply_morphism(G5, generate_powerfree_ternary(100))
+    words = []
+    for i in range(170):
+        w = image[7 * i : 7 * i + 200]
+        words.append(w[:150] + w[150:156] * 2 + w[162:] if i % 10 == 3 else w)
+    assert len(list(_chunks(words, 200))) == 2
+    planted = list(range(3, 170, 10))
+    spec = PowerFreeSpec(Fraction(83, 42), min_period=5)
+    assert packed_flags(words, lambda pk: pk.free_hits(spec)) == planted
+    assert packed_flags(words, lambda pk: pk.square_hits(5, 8)) == planted
+    periods = range(5, 30)
+    scan = packed_flags(words, lambda pk: pk.scan_hits(periods))
+    assert scan == [i for i, w in enumerate(words) if _scan_image_centers(w, periods) is not None]
+    assert scan == planted
+
+
+def failing_checks(doc):
+    return {c["name"]: c["counterexample"] for c in doc["checks"] if not c["passed"]}
+
+
+# the failing certificates of the benchmark, with their counterexamples as
+# the per-image loop named them: (morphism, k, beta, n, d, factor_len)
+PINNED_FAILURES = [
+    ((G2, 1, Fraction(19, 10), 2, 3, 8), "center-scan",
+     {"source": "01020120", "center": 2, "delta": 1, "repetition": (2, 2, 1)}),
+    ((G2, 2, Fraction(3, 2), 2, 3, 8), "image-freeness",
+     {"source": "01020120", "repetition": (0, 18, 10)}),
+    ((G2, 2, Fraction(19, 10), 2, 2, 8), "directedness", {"factor": "00", "reversal": "00"}),
+    ((G5, 5, Fraction(7, 4), 5, 20, 9), "image-freeness",
+     {"source": "010201202", "repetition": (0, 79, 42)}),
+    ((G5, 5, Fraction(83, 42), 5, 10, None), "directedness",
+     {"factor": "0001001101", "reversal": "1011001000"}),
+]
+
+
+@pytest.mark.parametrize("args, name, want", PINNED_FAILURES,
+                         ids=["g2-k1", "g2-beta3/2", "g2-d2", "g5-beta7/4", "g5-d10"])
+def test_failing_certificates_pinned(args, name, want):
+    m, k, beta, n, d, factor_len = args
+    spec = BranchCheckSpec(k, PowerFreeSpec(beta, min_period=n), d)
+    doc = json.loads(certify_morphic_tree_coloring(m, spec, factor_len).to_json())
+    failing = failing_checks(doc)
+    assert list(failing) == [name]
+    got = dict(failing[name])
+    got.pop("image", None)
+    if "repetition" in got:
+        rep = got["repetition"]
+        got["repetition"] = (rep["start"], rep["length"], rep["period"])
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the dynamic-period walk against the one-period-at-a-time loop
+
+
+def stepwise_dynamic_periods(st_, lo, needed, slope):
+    """The walk as it was before misaligned periods were skipped: every
+    period is visited and its run bound compared with needed(p)."""
+    slope = Fraction(slope)
+    if slope <= Fraction(3, 4):
+        raise ConfigurationError("slope")
+    window = 8 * st_.width * slope.denominator
+    out, streak, p = [], 0, lo
+    while streak < window:
+        rb = st_.run_bound(p)
+        if rb is None:
+            raise ConfigurationError("bounds")
+        if rb >= needed(p):
+            out.append(p)
+            streak = 0
+        else:
+            streak += 1
+        p += 1
+    return out
+
+
+def walks(structure, spec):
+    """Both walks on the three period families the certificate derives from
+    spec, each as its list or the message of the error it raised first."""
+    k, d = spec.k, spec.directed_d
+    free = spec.free_spec
+    families = [
+        (free.min_period, lambda p: free.violation_length(p) - p, free.exponent_bound - 1),
+        (k, lambda p: p, Fraction(1)),
+        (k, lambda p: p - (d - 1), Fraction(1)),
+    ]
+    results = []
+    for walk in (_dynamic_periods, stepwise_dynamic_periods):
+        got = []
+        for lo, needed, slope in families:
+            try:
+                got.append(walk(structure, lo, needed, slope))
+            except ConfigurationError as exc:
+                got.append("slope" if "slope" in str(exc) else "bounds")
+                break
+        results.append(got)
+    return results
+
+
+# (morphism, k, beta, n, d) of every certificate the benchmark runs
+BENCH_SPECS = [
+    (G2, 2, Fraction(19, 10), 2, 3), (G2, 1, Fraction(19, 10), 2, 3), (G2, 2, Fraction(3, 2), 2, 3),
+    (G2, 2, Fraction(19, 10), 2, 2), (G2, 2, Fraction(2), 2, 3), (G5, 5, Fraction(83, 42), 5, 20),
+    (G5, 5, Fraction(7, 4), 5, 20), (G5, 5, Fraction(83, 42), 5, 10),
+]
+
+
+@pytest.mark.parametrize("m, k, beta, n, d", BENCH_SPECS)
+def test_dynamic_periods_match_the_stepwise_walk(m, k, beta, n, d):
+    structure = analyze_morphism_structure(m)
+    new, old = walks(structure, BranchCheckSpec(k, PowerFreeSpec(beta, min_period=n), d))
+    assert new == old
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(0, 60),
+    st.booleans(),
+    st.booleans(),
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.sampled_from([Fraction(7, 4), Fraction(9, 5), Fraction(19, 10), Fraction(83, 42), Fraction(2)]),
+    st.integers(1, 25),
+)
+def test_dynamic_periods_match_the_stepwise_walk_on_any_structure(
+        width, run_max, distinct, hits, k, n, beta, d):
+    # structures with and without bounds, including widths of 1 (no
+    # misaligned periods) and shifted-window hits (no misaligned bound)
+    structure = MorphismStructure(width, distinct, ((0, 0, 1),) if hits else (),
+                                  run_max // 3, run_max // 2, run_max)
+    spec = BranchCheckSpec(k, PowerFreeSpec(beta, min_period=n, strict=beta < 2), d)
+    new, old = walks(structure, spec)
+    assert new == old

@@ -17,7 +17,7 @@ from nonrep.words import (
     generate_powerfree_ternary,
     iter_powerfree_ternary,
 )
-from nonrep.repetitions import is_power_free
+from nonrep.repetitions import Repetition, is_power_free
 
 ternary_words = st.text(alphabet="012", max_size=30)
 
@@ -107,6 +107,14 @@ def test_powerfree_spec():
         PowerFreeSpec(Fraction(1, 2))
     with pytest.raises(ValueError):
         PowerFreeSpec(Fraction(2), min_period=0)
+    # the non-strict bound 1 would forbid every word, since every factor has
+    # exponent >= 1; the strict bound 1 forbids every repetition
+    with pytest.raises(ValueError):
+        PowerFreeSpec(Fraction(1), strict=False)
+    with pytest.raises(ValueError):
+        PowerFreeSpec(1, min_period=3, strict=False)
+    assert is_power_free("01", PowerFreeSpec(Fraction(1))) is None
+    assert is_power_free("010", PowerFreeSpec(Fraction(1))) == Repetition(0, 3, 2)
     assert TERNARY_THRESHOLD.exponent_bound == Fraction(7, 4)
 
 
