@@ -9,6 +9,7 @@ parameters are exact `a/b` strings; floats are rejected."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -188,7 +189,9 @@ def cmd_suite(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (a parse leaves it as it was)."""
     ap = argparse.ArgumentParser(prog="nonrep")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -5,10 +5,14 @@ Every square and exponent test in the package reduces to one quantity, the
 match run: the run at period p ending at index m is the number of consecutive
 j <= m with seq[j] == seq[j - p].  A square of period p ends at m exactly when
 that run reaches p, and a repetition of period p and length p + r ends at m
-exactly when it reaches r.  The run has two forms:
+exactly when it reaches r.  The run has three forms:
 
-- at one index, `_tail_hit` counts it backward from the tail of a word grown
-  one symbol at a time (the word searches and the graph square kernel);
+- at one index, `_tail_hit` counts it backward from the tail of a sequence
+  grown one symbol at a time, one period after another (the graph square
+  kernel's path search);
+- at the tail of a growing word, for every period at once: the free-word
+  DFS (`words._free_words`) packs the runs into fixed-width fields of one
+  int and moves them all with a few big-int operations per new symbol;
 - over a whole word, the masks answer it at every index at once: one int bit
   mask per symbol (`_symbol_masks`), whose shifted ANDs give the match mask
   of a period (`_match_mask`), whose shifted ANDs in turn give the indices
@@ -18,7 +22,7 @@ exactly when it reaches r.  The run has two forms:
   which the tree certificate also runs over many images packed into one set
   of masks.
 
-The oracle tests pin both forms against slice comparisons.
+The oracle tests pin every form against slice comparisons.
 """
 
 from __future__ import annotations

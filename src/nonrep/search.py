@@ -113,9 +113,13 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
 
 @dataclass
 class WordSearchResult:
+    """The word found, how the search ended, and `nodes`, the symbols the
+    free-word DFS tried."""
+
     word: str
     reached_target: bool
     exhausted: bool
+    nodes: int = 0
 
 
 def extend_word_search(
@@ -133,13 +137,20 @@ def extend_word_search(
     deadline = time.monotonic() + budget.time_limit
     squares = PowerFreeSpec(Fraction(2), min_period=k, strict=False)
     nodes = 0
-    best = ""
+    # best is the longest word kept so far; only its symbols from index
+    # `stale` on can differ from the search's word, so a new longest word
+    # copies just those instead of the whole word
+    best: list[str] = []
+    stale = 0
     for word, kept in _free_words(alphabet, squares, target_len):
         nodes += 1
         if nodes > budget.node_limit or time.monotonic() > deadline:
-            return WordSearchResult(best, False, True)
-        if kept and len(word) > len(best):
-            best = "".join(word)
-            if len(best) == target_len:
-                return WordSearchResult(best, True, False)
-    return WordSearchResult(best, False, False)
+            return WordSearchResult("".join(best), False, True, nodes)
+        m = len(word) - 1
+        stale = min(stale, m)
+        if kept and m == len(best):
+            best[stale:] = word[stale:]
+            stale = m + 1
+            if m + 1 == target_len:
+                return WordSearchResult("".join(best), True, False, nodes)
+    return WordSearchResult("".join(best), False, False, nodes)

@@ -337,6 +337,19 @@ def _chunks(items, length: int):
         yield chunk
 
 
+def _image_windows(m: Morphism, sources: list[str], d: int) -> set[str]:
+    """The distinct length-d factors of the images of the source words, all
+    of one length n with d <= n * width.  A window of d image symbols
+    touches at most `span` consecutive source blocks, so it is a factor of
+    the image of a span-symbol factor of its source word (the last span
+    symbols when it ends near the end), and the images of those few distinct
+    factors give every window."""
+    n, width = len(sources[0]), m.uniform_width
+    span = min(n, (d + width - 2) // width + 1)
+    heads = {src[i:i + span] for src in sources for i in range(n - span + 1)}
+    return set().union(*(factors(apply_morphism(m, u), d) for u in heads))
+
+
 class _Packed:
     """Words of one length L laid end to end in one int mask per symbol,
     each word followed by a gap of L positions that no mask sets: word j
@@ -530,12 +543,11 @@ def certify_morphic_tree_coloring(
     clean_hi = min(n - 1, length // 2)
     for chunk in _chunks(iter_powerfree_ternary(factor_len), length):
         source_words += len(chunk)
-        imgs = [apply_morphism(m, src) for src in chunk]
         if d <= length:
-            for img in imgs:
-                dir_factors |= factors(img, d)
+            dir_factors |= _image_windows(m, chunk, d)
         if free_cx is not None and square_cx is not None and scan_cx is not None:
             continue
+        imgs = [apply_morphism(m, src) for src in chunk]
         packed = _Packed(imgs)
         # the images before the first freeness failure
         clean = 0 if free_cx is not None else len(imgs)

@@ -8,11 +8,11 @@ multiplication or fractions.Fraction), never floating point.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from .repetitions import PowerFreeSpec, _tail_hit
+from .repetitions import PowerFreeSpec
 
 
 _DIGITS = "0123456789"
@@ -110,6 +110,10 @@ NAMED_MORPHISMS = {"g2": G2, "g5": G5}
 # avoidable, and that bound is tight.
 TERNARY_THRESHOLD = PowerFreeSpec(Fraction(7, 4), min_period=1, strict=True)
 
+# the least checkpoint spacing of the free-word DFS, so that a search of up
+# to this length keeps the run state of every depth
+_EVERY = 64
+
 
 def _free_words(alphabet: int, spec: PowerFreeSpec, length: int):
     """Depth-first, lexicographic extension of the words over the digits
@@ -119,31 +123,81 @@ def _free_words(alphabet: int, spec: PowerFreeSpec, length: int):
     is checked only for repetitions ending at it, since every shorter prefix
     already passed; an explicit stack keeps long words from recursing.
 
-    A repetition of period p ending at the new symbol breaks spec once it is
-    lengths[p] long, i.e. once its match run reaches need[p].  _tail_hit
-    needs need[p] >= 1, which every spec meets (`PowerFreeSpec` refuses the
-    non-strict bound 1)."""
-    lengths = [spec.violation_length(p) for p in range(length + 1)]
-    need = [n - p for p, n in enumerate(lengths)]
+    The match runs ending at the tail, one per period, are packed into one
+    int of `width`-bit fields (Shift-And: Baeza-Yates & Gonnet, CACM 1992):
+    with the tail at index t, field j < t holds the run at period t - j,
+    the one that compares word[t] with word[j].  Appending a symbol s moves
+    every field up one, adds one where word[j] == s and clears the fields
+    where it is not, so a new symbol costs a few big-int operations however
+    long the word is:
+
+        run' = ((run << width) + low[s]) & full[s]
+
+    where low[s] has the low bit and full[s] every bit of field j set when
+    word[j] == s.  A repetition of period p ending at the tail breaks spec
+    once its run reaches need[p] = violation_length(p) - p, which is at
+    least 1 (`PowerFreeSpec` refuses the non-strict bound 1).  Field
+    length - p of `offsets` holds guard - need[p] for every period
+    p >= min_period whose violation fits in length, and 0 for the rest;
+    shifted down to the tail and added to run', it sets the guard bit (the
+    top bit of a field) exactly where a run reaches its need.  A run is at
+    most length < guard, so no field carries into the next.
+
+    Keeping the state of every depth would take length**2 * width / 2 bits,
+    so states are kept only at every `every`-th depth and at the `every`
+    depths below the top, length * width * (every + length / (2 * every))
+    bits in all; a backtrack past those replays at most `every` symbols from
+    the checkpoint below, and keeps the states it replays."""
+    width = length.bit_length() + 1
+    guard = 1 << (width - 1)
+    ones = (1 << width) - 1
     lo = spec.min_period
+    needs = (spec.violation_length(p) - p for p in range(1, length + 1))
+    offsets = int("0" + "".join(
+        format(guard - need if p >= lo and need + p <= length else 0, f"0{width}b")
+        for p, need in enumerate(needs, 1)
+    ), 2)
+    guards = int("0" + format(guard, f"0{width}b") * length, 2)
+    every = max(_EVERY, isqrt(length // 2))  # near the least of those bits
     symbols = _DIGITS[:alphabet]
+    low = dict.fromkeys(symbols, 0)
+    full = dict.fromkeys(symbols, 0)
     word: list[str] = []
+    states: list[int | None] = [0]  # states[i]: the runs of word[:i], if kept
     stack = [iter(symbols)]  # per depth, the symbols still to try there
     while stack:
+        m = len(word)
+        shifted = states[m] << width
+        offs = offsets >> (length - m) * width
         for s in stack[-1]:
+            run = (shifted + low[s]) & full[s]
             word.append(s)
-            m = len(word) - 1
-            hi = bisect_right(lengths, m + 1) - 1  # the periods a violation fits
-            kept = _tail_hit(word, m, lo, hi, need) is None
+            kept = not (run + offs) & guards
             yield word, kept
             if kept and m + 1 < length:
+                low[s] |= 1 << m * width
+                full[s] |= ones << m * width
+                states.append(run)
+                if (m + 1) % every and m + 1 > every:
+                    states[m + 1 - every] = None
                 stack.append(iter(symbols))
                 break
             word.pop()
         else:
             stack.pop()
+            states.pop()
             if word:
-                word.pop()
+                s = word.pop()
+                m -= 1
+                low[s] ^= 1 << m * width
+                full[s] ^= ones << m * width
+                if states[m] is None:
+                    base = m - m % every
+                    run = states[base]
+                    for j in range(base, m):
+                        s = word[j]
+                        run = ((run << width) + low[s]) & full[s] & ((1 << j * width) - 1)
+                        states[j + 1] = run
 
 
 def iter_powerfree_ternary(length: int):

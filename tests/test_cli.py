@@ -8,8 +8,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nonrep.cli import main
+from nonrep.cli import build_parser, main
 from nonrep.graphs import Graph, stacked_triangulation
 from nonrep.words import Morphism, generate_powerfree_ternary
 from test_search import recursion_headroom
@@ -340,3 +341,111 @@ def test_suite_only_flag(capsys):
     assert main(["suite", "run", "--only", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc) == 1 and doc[0]["number"] == 1 and doc[0]["passed"] is True
+
+
+# one argv per subcommand, passing, failing and refused ones mixed
+MIXED_ARGV = [
+    ["word", "gen", "--length", "12"],
+    ["word", "check-free", "--beta", "2", "00"],
+    ["word", "check-free", "--beta", "1.9", "00"],
+    ["word", "check-directed", "--d", "3", "0123210"],
+    ["morphism", "apply", "--morphism", "g5", "012"],
+    ["morphism", "apply", "--morphism", "nosuch", "0"],
+    ["treecert", "certify", "--morphism", "g2", "--k", "2", "--beta", "19/10", "--n", "2", "--d", "3"],
+    ["treecert", "certify", "--morphism", "g2", "--k", "2"],
+    ["graph", "gen", "--family", "stacked", "--i", "1"],
+    ["search", "pik", "--n", "5", "--k", "1"],
+    ["search", "word", "--alphabet", "2", "--k", "1", "--target", "4"],
+    ["suite", "run", "--only", "10"],
+    ["search", "tree-witness"],
+    ["word", "gen", "--help"],
+    [],
+]
+
+
+def test_main_repeats_in_one_process(capsys):
+    # the parser is built once; every later parse sees it as it was
+    rounds = []
+    for _ in range(3):
+        results = []
+        for argv in MIXED_ARGV:
+            rc = main(list(argv))
+            results.append((rc, *capsys.readouterr()))
+        rounds.append(results)
+    assert rounds[0] == rounds[1] == rounds[2]
+    assert [rc for rc, _, _ in rounds[0]] == [0, 1, 2, 1, 0, 2, 0, 2, 0, 0, 1, 2, 2, 0, 2]
+    assert build_parser() is build_parser()
+
+
+# values that argparse or the commands must refuse or handle: zero,
+# negatives, non-digits, nan, floats and a zero denominator, drawn about
+# half as often as small valid ones
+EDGE_INTS = st.sampled_from(["1", "2", "3", "4"] * 3 + ["0", "-1", "-5", "x", "nan", "1.5", ""])
+EDGE_RATIONALS = st.sampled_from(["7/4", "3/2", "19/10", "83/42", "2"] * 3
+                                 + ["1", "0", "-1", "1/0", "nan", "1.9", "x/y", ""])
+EDGE_WORDS = st.text("0123", max_size=8) | st.text("0123a\uff10", max_size=8)
+
+# per subcommand, its flags and the values each takes; `suite run` always
+# names a criterion that does not exist, so no argv runs the suite
+GRAMMAR = {
+    ("word", "gen"): {"--length": EDGE_INTS},
+    ("word", "check-free"): {"--beta": EDGE_RATIONALS, "--n": EDGE_INTS, "--strict": None, "word": EDGE_WORDS},
+    ("word", "check-directed"): {"--d": EDGE_INTS, "word": EDGE_WORDS},
+    ("morphism", "apply"): {"--morphism": st.sampled_from(["g2", "g5", "nosuch", ""]), "word": EDGE_WORDS},
+    ("treecert", "certify"): {
+        "--morphism": st.sampled_from(["g2", "g5", "nosuch"]), "--k": EDGE_INTS, "--beta": EDGE_RATIONALS,
+        "--n": EDGE_INTS, "--d": EDGE_INTS, "--factor-len": EDGE_INTS | st.sampled_from(["8", "12"]),
+    },
+    ("graph", "gen"): {
+        "--family": st.sampled_from(["path", "stacked", "outeru", "plus4", "leveled", "nosuch"]),
+        "--i": EDGE_INTS, "--n": EDGE_INTS, "--m": EDGE_INTS,
+    },
+    ("graph", "verify"): {
+        "--graph": st.sampled_from(["GRAPH", "/no/such.json"]),
+        "--colors": st.sampled_from(["0,1,2,3", "0,1,2,0", "0,0", "1", "", "x", "-1,0"]),
+        "--k": EDGE_INTS, "--max-path": EDGE_INTS,
+    },
+    ("search", "pik"): {"--graph": st.sampled_from(["GRAPH", "/no/such.json"]), "--n": EDGE_INTS, "--k": EDGE_INTS},
+    ("search", "word"): {"--alphabet": EDGE_INTS | st.just("11"), "--k": EDGE_INTS,
+                         "--target": EDGE_INTS | st.just("30")},
+}
+BAD_ONLY = ["0", "10", "-1", "x", "nan", "", "1,0", "2,12"]
+
+
+@st.composite
+def cli_argv(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return ["suite", "run", "--only", draw(st.sampled_from(BAD_ONLY))] + draw(
+            st.lists(st.sampled_from(["--json", "--bogus"]), max_size=2))
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    flags = GRAMMAR[command]
+    # most flags given, some left out, some twice, in any order
+    names = [name for name in flags for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2])))]
+    argv = list(command)
+    for name in draw(st.permutations(names)):
+        if flags[name] is None:
+            argv.append(name)
+        elif name == "word":
+            argv.append(draw(flags[name]))
+        else:
+            argv += [name, draw(flags[name])]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-h", "nosuch", "--"])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def graph_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "g.json"
+    path.write_text(json.dumps(stacked_triangulation(1).to_json_dict()))
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_cli_fuzz_exit_codes(argv, graph_file, capsys):
+    argv = [graph_file if a == "GRAPH" else a for a in argv]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc in (0, 1, 2), argv
+    assert "Traceback" not in out + err, argv

@@ -18,13 +18,14 @@ from nonrep.graphs import (
 from nonrep.search import (
     PiResult,
     SearchBudget,
+    WordSearchResult,
     extend_word_search,
     pi_k_exact,
 )
 from fractions import Fraction
 
 from nonrep.repetitions import is_power_free
-from nonrep.words import PowerFreeSpec
+from nonrep.words import PowerFreeSpec, _free_words
 
 
 def _pi_naive(g: Graph, k: int, max_colors: int = 5) -> int:
@@ -145,6 +146,40 @@ def test_extend_word_search_pinned(args, want):
     budget = SearchBudget() if node_limit is None else SearchBudget(node_limit=node_limit)
     res = extend_word_search(alphabet, k, target, budget)
     assert (res.word, res.reached_target, res.exhausted) == want
+
+
+def test_word_search_counts_nodes():
+    # the symbols criterion 5's three searches try; they pin the DFS order
+    assert extend_word_search(2, 1, 4).nodes == 14
+    assert extend_word_search(3, 1, 1000).nodes == 2223
+    assert extend_word_search(2, 3, 1000).nodes == 1927
+    res = extend_word_search(2, 2, 30, SearchBudget(node_limit=50))
+    assert res.exhausted and res.nodes == 51  # as PiResult, the one over the limit
+    assert WordSearchResult("0", True, False).nodes == 0  # positional fields unchanged
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alphabet=st.integers(2, 3),
+    k=st.integers(1, 3),
+    target=st.integers(1, 40),
+    node_limit=st.integers(1, 300),
+)
+def test_word_search_keeps_longest_word(alphabet, k, target, node_limit):
+    # oracle: copy the whole word at every new longest one
+    squares = PowerFreeSpec(Fraction(2), min_period=k, strict=False)
+    best, nodes = "", 0
+    for word, kept in _free_words(alphabet, squares, target):
+        nodes += 1
+        if nodes > node_limit:
+            break
+        if kept and len(word) > len(best):
+            best = "".join(word)
+            if len(best) == target:
+                break
+    res = extend_word_search(alphabet, k, target, SearchBudget(node_limit=node_limit))
+    assert (res.word, res.nodes) == (best, nodes)
+    assert res.reached_target == (len(best) == target)
 
 
 def test_ternary_squarefree_never_dead_ends():

@@ -11,8 +11,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonrep.words import (G2, G5, Morphism, PowerFreeSpec, apply_morphism, generate_powerfree_ternary,
-                          iter_powerfree_ternary)
+from nonrep.words import (G2, G5, Morphism, PowerFreeSpec, apply_morphism, factors,
+                          generate_powerfree_ternary, iter_powerfree_ternary)
 from nonrep import treecert
 from nonrep.repetitions import Repetition, find_squares, is_power_free
 from nonrep.treecert import (
@@ -23,6 +23,7 @@ from nonrep.treecert import (
     _chunks,
     _dynamic_periods,
     _scan_image_centers,
+    _image_windows,
     analyze_morphism_structure,
     build_level_tree,
     certify_morphic_tree_coloring,
@@ -452,6 +453,34 @@ def test_packed_pass_past_one_chunk_of_the_module_size():
     scan = packed_flags(words, lambda pk: pk.scan_hits(periods))
     assert scan == [i for i, w in enumerate(words) if _scan_image_centers(w, periods) is not None]
     assert scan == planted
+
+
+@pytest.mark.parametrize("m", [G2, G5], ids=["g2", "g5"])
+@pytest.mark.parametrize("factor_len", [1, 2, 5, 9])
+def test_image_windows_are_the_union_of_image_factors(m, factor_len):
+    # the windows of the short source factors' images against the
+    # per-image factor sets, for chunks of one, three and the module's
+    # number of images, and every window length up to the image length
+    width = m.uniform_width
+    length = factor_len * width
+    for per_chunk in (1, 3, 0):
+        bits = 2 * length * per_chunk or treecert._PACK_BITS
+        with mock.patch.object(treecert, "_PACK_BITS", bits):
+            for chunk in _chunks(iter_powerfree_ternary(factor_len), length):
+                imgs = [apply_morphism(m, src) for src in chunk]
+                for d in range(1, length + 1, 1 if factor_len < 9 else 7):
+                    assert _image_windows(m, chunk, d) == set().union(*(factors(img, d) for img in imgs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda w: st.lists(st.text("012", min_size=w, max_size=w), min_size=3, max_size=3)),
+       st.lists(st.text("012", min_size=4, max_size=4), min_size=1, max_size=6), st.data())
+def test_image_windows_of_any_width(images, sources, data):
+    # widths 1-7, where a window of d symbols spans from 1 to all 4 blocks
+    m = Morphism(tuple(images))
+    d = data.draw(st.integers(1, 4 * m.uniform_width))
+    want = set().union(*(factors(apply_morphism(m, src), d) for src in sources))
+    assert _image_windows(m, sources, d) == want
 
 
 def failing_checks(doc):

@@ -1,10 +1,15 @@
 """Tests for words: morphisms, power-free generation and enumeration."""
 
+import hashlib
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nonrep import words
 from nonrep.words import (
     G2,
     G5,
@@ -172,3 +177,80 @@ def test_generate_prefix_stable():
     for length in (0, 1, 7, 25, 39):
         assert generate_powerfree_ternary(length) == w[:length]
     assert naive_threshold_free(w)
+
+
+def test_enumeration_pinned_through_length_20():
+    # the counts, and every word in order, as the per-period DFS gave them
+    counts = [1, 3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 186, 240, 312, 420, 528, 678, 888, 1140, 1464, 1854]
+    digest = hashlib.sha256()
+    for length, want in enumerate(counts):
+        found = list(iter_powerfree_ternary(length))
+        assert len(found) == want
+        digest.update(("\n".join(found) + "\n\n").encode())
+    assert digest.hexdigest() == "f2add022335f1255e4c6f0a01db5ed8f9aedd5e2021085781d4f3082c3cfcc26"
+
+
+def slice_free_words(alphabet: int, spec: PowerFreeSpec, length: int):
+    """Oracle for `words._free_words`: the same (word, kept) stream from a
+    recursive DFS that compares slices.  The word before the new symbol was
+    kept, so a violation of period p has to be its suffix of
+    violation_length(p) symbols, and that suffix has period p exactly when
+    it equals itself shifted by p."""
+
+    def kept(w):
+        for p in range(spec.min_period, len(w)):
+            n = spec.violation_length(p)
+            if n <= len(w) and w[len(w) - n:len(w) - p] == w[len(w) - n + p:]:
+                return False
+        return True
+
+    def dfs(prefix):
+        for s in "0123456789"[:alphabet]:
+            w = prefix + s
+            ok = kept(w)
+            yield w, ok
+            if ok and len(w) < length:
+                yield from dfs(w)
+
+    return dfs("")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alphabet=st.integers(2, 4),
+    bound=st.sampled_from([Fraction(7, 4), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(7, 3)]),
+    strict=st.booleans(),
+    min_period=st.integers(1, 4),
+    length=st.sampled_from([*range(15), 16, 17, 32, 33, 64, 65, 66]),
+    every=st.sampled_from([1, 2, 3, 5, 64]),
+)
+def test_free_words_match_slice_oracle(alphabet, bound, strict, min_period, length, every):
+    # the packed run state against slice comparisons, over the first 3000
+    # symbols tried; small checkpoint spacings make the backtracks replay
+    spec = PowerFreeSpec(bound, min_period=min_period, strict=strict)
+    with mock.patch.object(words, "_EVERY", every):
+        got = [("".join(w), kept) for w, kept in islice(words._free_words(alphabet, spec, length), 3000)]
+    assert got == list(islice(slice_free_words(alphabet, spec, length), 3000))
+
+
+def test_free_words_replay_past_checkpoints():
+    # an exhaustive run (binary, no square of period >= 2: at most 18
+    # letters) backtracks through every depth; with `_EVERY` at 1-4 the
+    # checkpoints are 3 or 4 depths apart, so the backtracks replay
+    spec = PowerFreeSpec(Fraction(2), min_period=2, strict=False)
+    want = list(slice_free_words(2, spec, 19))
+    for every in (1, 2, 3, 4):
+        with mock.patch.object(words, "_EVERY", every):
+            assert [("".join(w), kept) for w, kept in words._free_words(2, spec, 19)] == want
+
+
+def test_generation_memory_grows_less_than_quadratically():
+    # the run state of every depth would hold about 7.5 MB here; checkpoints
+    # and the window below the top hold well under 1 MB
+    tracemalloc.start()
+    try:
+        generate_powerfree_ternary(3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
