@@ -1,7 +1,10 @@
 """Acceptance criteria for the toolkit, runnable as a suite (CLI `suite run`)
-and individually from the test suite.  Each criterion function returns a
-CriterionResult; run_all executes a selection and format_report renders the
-fixed-width pass/fail table."""
+and individually from the test suite.  Each criterion function returns its
+verdict as (name, passed, detail); run_all is the one place that runs a
+selection, times each criterion and wraps it in a CriterionResult, and
+format_report renders the fixed-width pass/fail table.  _CRITERIA maps each
+number to the module-level function itself, so that wrapping either name
+(as the benchmark's layer tracer does) times the same call."""
 
 from __future__ import annotations
 
@@ -37,6 +40,9 @@ class CriterionResult:
     seconds: float
 
 
+Verdict = tuple[str, bool, str]  # what a criterion returns: name, passed, detail
+
+
 # independently transcribed copies of the published morphism tables
 _G2_TABLE = ("011220012201", "122001120012", "200112201120")
 _G5_TABLE = (
@@ -46,43 +52,32 @@ _G5_TABLE = (
 )
 
 
-def criterion_1() -> CriterionResult:
+def criterion_1() -> Verdict:
     """Hard-coded morphism tables match the published 3x12 and 3x21 tables."""
-    t0 = time.monotonic()
     ok = G2.images == _G2_TABLE and G5.images == _G5_TABLE
-    return CriterionResult(
-        1, "morphism fidelity", ok, "g2 3x12, g5 3x21 tables", time.monotonic() - t0
-    )
+    return "morphism fidelity", ok, "g2 3x12, g5 3x21 tables"
 
 
-def criterion_2() -> CriterionResult:
+def criterion_2() -> Verdict:
     """g2 certificate with (k=2, 19/10+, n=2, d=3, factor_len=8), p* = 20."""
-    t0 = time.monotonic()
     spec = BranchCheckSpec(2, PowerFreeSpec(Fraction(19, 10), min_period=2), 3)
     cert = certify_morphic_tree_coloring(G2, spec, factor_len=8, morphism_name="g2")
-    ok = cert.passed and cert.p_star == 20
-    return CriterionResult(
-        2,
+    return (
         "g2 certificate",
-        ok,
+        cert.passed and cert.p_star == 20,
         f"passed={cert.passed} p*={cert.p_star} over {cert.source_words} source words",
-        time.monotonic() - t0,
     )
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3() -> Verdict:
     """g5 certificate with (k=5, 83/42+, n=5, d=20), p* = 798."""
-    t0 = time.monotonic()
     spec = BranchCheckSpec(5, PowerFreeSpec(Fraction(83, 42), min_period=5), 20)
     cert = certify_morphic_tree_coloring(G5, spec, morphism_name="g5")
-    ok = cert.passed and cert.p_star == 798
-    return CriterionResult(
-        3,
+    return (
         "g5 certificate",
-        ok,
+        cert.passed and cert.p_star == 798,
         f"passed={cert.passed} p*={cert.p_star} factor_len={cert.factor_len} "
         f"over {cert.source_words} source words",
-        time.monotonic() - t0,
     )
 
 
@@ -93,29 +88,21 @@ def _level_tree_clean(m: Morphism, k: int, depth: int, arity: int) -> bool:
     return verify_coloring(g, coloring, k, 2 * depth + 1) is None
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4() -> Verdict:
     """Level trees colored through the morphisms pass the brute-force path
     oracle: g2 at depth 12 arity 2 in full; g5 at depth 12 arity 1 in full
     plus an arity-2 spot check at depth 9."""
-    t0 = time.monotonic()
     ok = (
         _level_tree_clean(G2, 2, 12, 2)
         and _level_tree_clean(G5, 5, 12, 1)
         and _level_tree_clean(G5, 5, 9, 2)
     )
-    return CriterionResult(
-        4,
-        "level-tree oracle",
-        ok,
-        "g2 depth 12 arity 2; g5 depth 12 arity 1, depth 9 arity 2",
-        time.monotonic() - t0,
-    )
+    return "level-tree oracle", ok, "g2 depth 12 arity 2; g5 depth 12 arity 1, depth 9 arity 2"
 
 
-def criterion_5() -> CriterionResult:
+def criterion_5() -> Verdict:
     """Path-word searches: binary k=1 tops out at length 3; ternary squarefree
     and binary k=3 words reach length 1000."""
-    t0 = time.monotonic()
     a = extend_word_search(2, 1, 4)
     b = extend_word_search(3, 1, 1000)
     c = extend_word_search(2, 3, 1000)
@@ -126,13 +113,11 @@ def criterion_5() -> CriterionResult:
         and b.reached_target
         and c.reached_target
     )
-    return CriterionResult(
-        5,
+    return (
         "path word searches",
         ok,
         f"binary k=1 max {len(a.word)}; ternary len {len(b.word)}; "
         f"binary k=3 len {len(c.word)}",
-        time.monotonic() - t0,
     )
 
 
@@ -164,47 +149,35 @@ def _rooted_trees(max_vertices: int):
             parent[v:] = [parent[v] + 1] * (n - v)
 
 
-def criterion_6() -> CriterionResult:
+def criterion_6() -> Verdict:
     """pi_k exactness: paths need 3 colors at k=1 (n=4..14) and 2 at k=3
     (n<=60); P_18/P_19 need 2/3 colors at k=2 and P_9/P_10 need 1/2 at k=5;
     pi is monotone non-increasing in k on all trees <= 8 vertices."""
-    t0 = time.monotonic()
-    ok = True
-    detail = []
+    failures = []
     for n in range(4, 15):
         if pi_k_exact(path_graph(n), 1).value != 3:
-            ok = False
-            detail.append(f"P_{n} k=1 != 3")
+            failures.append(f"P_{n} k=1 != 3")
     for n in range(2, 61):
         res = pi_k_exact(path_graph(n), 3)
         # a monochromatic path shorter than 6 vertices has no period-3 square
         want = 1 if n <= 5 else 2
         if res.value != want:
-            ok = False
-            detail.append(f"P_{n} k=3 = {res.value}")
+            failures.append(f"P_{n} k=3 = {res.value}")
     # the paths behind pi_2(tree) >= 3 and pi_5(tree) >= 2: binary words free
     # of squares of period >= 2 have at most 18 letters (Entringer, Jackson &
     # Schatz 1974), and a one-colour P_10 reads a square of period 5
     for n, k, want in ((18, 2, 2), (19, 2, 3), (9, 5, 1), (10, 5, 2)):
         value = pi_k_exact(path_graph(n), k).value
         if value != want:
-            ok = False
-            detail.append(f"P_{n} k={k} = {value}")
+            failures.append(f"P_{n} k={k} = {value}")
     for parent in _rooted_trees(8):
         g = Graph(len(parent))
         for v in range(1, len(parent)):
             g.add_edge(parent[v], v)
         values = [pi_k_exact(g, k).value for k in range(1, 6)]
         if any(values[i + 1] > values[i] for i in range(4)):
-            ok = False
-            detail.append(f"monotonicity fails on tree {parent}: {values}")
-    return CriterionResult(
-        6,
-        "pi_k exactness",
-        ok,
-        "; ".join(detail) if detail else "paths k=1/k=3 and tree monotone sweep",
-        time.monotonic() - t0,
-    )
+            failures.append(f"monotonicity fails on tree {parent}: {values}")
+    return "pi_k exactness", not failures, "; ".join(failures) or "paths k=1/k=3 and tree monotone sweep"
 
 
 def _proper_path_colorings(length: int) -> list[str]:
@@ -216,10 +189,9 @@ def _proper_path_colorings(length: int) -> list[str]:
     return words
 
 
-def criterion_7() -> CriterionResult:
+def criterion_7() -> Verdict:
     """Every proper 2-coloring of the path on 4k vertices contains a square of
     period >= k, for k = 1..4."""
-    t0 = time.monotonic()
     ok = True
     checked = 0
     for k in range(1, 5):
@@ -228,36 +200,25 @@ def criterion_7() -> CriterionResult:
             checked += 1
             if not find_squares(w, k, length // 2):
                 ok = False
-    return CriterionResult(
-        7,
-        "proper 2-colorings of P_4k",
-        ok,
-        f"k = 1..4 exhaustive, {checked} proper colorings",
-        time.monotonic() - t0,
-    )
+    return "proper 2-colorings of P_4k", ok, f"k = 1..4 exhaustive, {checked} proper colorings"
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8() -> Verdict:
     """Construction invariants: stacked triangulations (counts, Euler, 3-tree),
     the outerplanar family counts, the gadget closed forms, fan witnesses, and
     copies of U_t next to a vertex of G_0 (t = 0, 1, 2)."""
-    t0 = time.monotonic()
-    ok = True
-    detail = []
+    failures = []
     for i in range(7):
         g = stacked_triangulation(i)
         v, e, f = g.n, g.edge_count, len(g.faces)
         if not (v == 2 * 3 ** i + 2 and f == 4 * 3 ** i and v - e + f == 2):
-            ok = False
-            detail.append(f"G_{i} counts")
+            failures.append(f"G_{i} counts")
         if check_3tree(g) is not None:
-            ok = False
-            detail.append(f"G_{i} 3-tree")
+            failures.append(f"G_{i} 3-tree")
     for i in range(11):
         u = outerplanar_U(i)
         if not (u.n == 2 ** i + 1 and u.edge_count == 2 ** (i + 1) - 1):
-            ok = False
-            detail.append(f"U_{i} counts")
+            failures.append(f"U_{i} counts")
     for hn, he in ((1, 0), (2, 1), (3, 2), (0, 0)):
         h = Graph(hn)
         for j in range(he):
@@ -268,8 +229,7 @@ def criterion_8() -> CriterionResult:
                 g.n == 2 * m * (1 + hn) + 2
                 and g.edge_count == 5 * m + 1 + 2 * m * (hn + he)
             ):
-                ok = False
-                detail.append(f"plus4 h={hn} m={m}")
+                failures.append(f"plus4 h={hn} m={m}")
     for i in range(4):
         base = stacked_triangulation(i)
         for t in range(1, 5):
@@ -283,8 +243,7 @@ def criterion_8() -> CriterionResult:
                     and all(big.has_edge(ws[j], ws[j + 1]) for j in range(t - 1))
                 )
                 if not good:
-                    ok = False
-                    detail.append(f"fan i={i} t={t} edge=({x},{y})")
+                    failures.append(f"fan i={i} t={t} edge=({x},{y})")
     base = stacked_triangulation(0)
     for t in range(3):
         big = stacked_triangulation(t + 2)
@@ -296,15 +255,9 @@ def criterion_8() -> CriterionResult:
             and all(big.has_edge(mapping[a], mapping[b]) for a, b in outerplanar_U(t).edges())
         )
         if not good:
-            ok = False
-            detail.append(f"U_{t} witness at vertex 0 of G_0")
-    return CriterionResult(
-        8,
-        "construction invariants",
-        ok,
-        "; ".join(detail) if detail else "G_i, U_i, gadget, fan and U_t witnesses",
-        time.monotonic() - t0,
-    )
+            failures.append(f"U_{t} witness at vertex 0 of G_0")
+    detail = "; ".join(failures) or "G_i, U_i, gadget, fan and U_t witnesses"
+    return "construction invariants", not failures, detail
 
 
 def _naive_square_table(chunk, k: int):
@@ -417,29 +370,17 @@ def criterion_9b_graphs(max_vertices: int = 7) -> bool:
     return True
 
 
-def criterion_9() -> CriterionResult:
-    t0 = time.monotonic()
+def criterion_9() -> Verdict:
+    """find_squares and verify_coloring agree with their naive oracles
+    (criteria 9a and 9b)."""
     words_ok = criterion_9a_words()
     graphs_ok = criterion_9b_graphs()
-    return CriterionResult(
-        9,
-        "oracle equivalence",
-        words_ok and graphs_ok,
-        f"words={words_ok} graphs={graphs_ok}",
-        time.monotonic() - t0,
-    )
+    return "oracle equivalence", words_ok and graphs_ok, f"words={words_ok} graphs={graphs_ok}"
 
 
 _CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
+    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4, 5: criterion_5,
+    6: criterion_6, 7: criterion_7, 8: criterion_8, 9: criterion_9,
 }
 
 
@@ -448,7 +389,12 @@ def run_all(numbers=None) -> list[CriterionResult]:
     unknown = [i for i in numbers if i not in _CRITERIA]
     if unknown:
         raise ValueError(f"unknown criterion numbers {unknown} (known: {sorted(_CRITERIA)})")
-    return [_CRITERIA[i]() for i in numbers]
+    results = []
+    for i in numbers:
+        t0 = time.monotonic()
+        name, passed, detail = _CRITERIA[i]()
+        results.append(CriterionResult(i, name, passed, detail, time.monotonic() - t0))
+    return results
 
 
 def format_report(results) -> str:

@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import acceptance
@@ -146,15 +147,8 @@ def cmd_search(args) -> int:
         else:
             g = path_graph(args.n)
         res = pi_k_exact(g, args.k, budget)
-        doc = {
-            "value": res.value,
-            "lower": res.lower,
-            "upper": res.upper,
-            "witness": list(res.witness.colors) if res.witness else None,
-            "exhausted": res.exhausted,
-            "nodes": res.nodes,
-        }
-        print(json.dumps(doc, sort_keys=True))
+        witness = list(res.witness.colors) if res.witness else None
+        print(json.dumps({**asdict(res), "value": res.value, "witness": witness}, sort_keys=True))
         return 0 if res.value is not None else 1
     res = extend_word_search(args.alphabet, args.k, args.target, budget)
     status = "reached" if res.reached_target else (
@@ -168,22 +162,8 @@ def cmd_suite(args) -> int:
     numbers = None if args.only is None else [int(x) for x in args.only.split(",")]
     results = acceptance.run_all(numbers)
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "number": r.number,
-                        "name": r.name,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                        "seconds": round(r.seconds, 3),
-                    }
-                    for r in results
-                ],
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        docs = [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results]
+        print(json.dumps(docs, sort_keys=True, indent=2))
     else:
         print(acceptance.format_report(results))
     return 0 if all(r.passed for r in results) else 1

@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from itertools import chain
 
-from .repetitions import Repetition, _tail_hit
+from .repetitions import Repetition
 
 
 def _json_list(value, key: str, size: int | None = None, ints: bool = False) -> list:
@@ -448,13 +448,28 @@ def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int, pmax: in
     return bad
 
 
+def _tail_square(seq, m: int, lo: int, hi: int) -> int | None:
+    """The least period p in [lo, hi] of a square ending at index m of seq,
+    i.e. whose match run ending at m reaches p, or None.  Each run is
+    counted backward from m, and only up to p; callers keep 1 <= lo and
+    2 * hi <= m + 1, so that every square in range fits."""
+    x = seq[m]
+    for p in range(lo, hi + 1):
+        if seq[m - p] == x:
+            j, stop = m - 1, m - p
+            while j > stop and seq[j] == seq[j - p]:
+                j -= 1
+            if j == stop:
+                return p
+    return None
+
+
 def _least_violation(g: Graph, colors, k: int, max_path: int, limit: int = 0):
     """verify_coloring's answer by a lexicographic path DFS, or False if it
     needs more than `limit` path extensions (limit 0: no budget).  Each
-    extension asks only whether a square ends at the new tail: one of period p
-    does exactly when the match run at period p reaches p."""
+    extension asks only whether a square ends at the new tail
+    (`_tail_square`)."""
     pmax = max_path // 2
-    need = range(pmax + 1)  # a square of period p needs a run of p matches
     adjs = [sorted(a) for a in g.adj]
     stop = limit + 1 if limit else 0  # 0: never reached, counts start at 1
     visited_paths = 0
@@ -488,7 +503,7 @@ def _least_violation(g: Graph, colors, k: int, max_path: int, limit: int = 0):
                 return False
             hi = (m + 1) // 2  # the longest period of a square ending at m
             if hi >= k:
-                p = _tail_hit(seq, m, k, hi if hi < pmax else pmax, need)
+                p = _tail_square(seq, m, k, hi if hi < pmax else pmax)
                 if p is not None:
                     return tuple(path), Repetition(m - 2 * p + 1, 2 * p, p)
             if m + 1 < max_path:

@@ -5,22 +5,18 @@ Every square and exponent test in the package reduces to one quantity, the
 match run: the run at period p ending at index m is the number of consecutive
 j <= m with seq[j] == seq[j - p].  A square of period p ends at m exactly when
 that run reaches p, and a repetition of period p and length p + r ends at m
-exactly when it reaches r.  The run has three forms:
-
-- at one index, `_tail_hit` counts it backward from the tail of a sequence
-  grown one symbol at a time, one period after another (the graph square
-  kernel's path search);
-- at the tail of a growing word, for every period at once: the free-word
-  DFS (`words._free_words`) packs the runs into fixed-width fields of one
-  int and moves them all with a few big-int operations per new symbol;
-- over a whole word, the masks answer it at every index at once: one int bit
-  mask per symbol (`_symbol_masks`), whose shifted ANDs give the match mask
-  of a period (`_match_mask`), whose shifted ANDs in turn give the indices
-  where the run reaches r (`_run_reaches`), in O(log r) big-int operations
-  (Shift-And: Baeza-Yates & Gonnet, CACM 1992; Myers, JACM 1999).  The
-  freeness check's per-period loop is the generator `_violation_ends`,
-  which the tree certificate also runs over many images packed into one set
-  of masks.
+exactly when it reaches r.  Over a whole word, the masks here answer it at
+every index at once: one int bit mask per symbol (`_symbol_masks`), whose
+shifted ANDs give the match mask of a period (`_match_mask`), whose shifted
+ANDs in turn give the indices where the run reaches r (`_run_reaches`), in
+O(log r) big-int operations (Shift-And: Baeza-Yates & Gonnet, CACM 1992;
+Myers, JACM 1999).  The freeness check's per-period loop is the generator
+`_violation_ends`, which the tree certificate also runs over many images
+packed into one set of masks.  The run has two more forms, each beside its
+one caller: the free-word DFS (`words._free_words`) packs the runs at the
+tail of a growing word into fixed-width fields of one int, and the graph
+path DFS (`graphs._tail_square`) counts the run at its tail one period at a
+time.
 
 The oracle tests pin every form against slice comparisons.
 """
@@ -83,25 +79,6 @@ class PowerFreeSpec:
         if self.strict:
             return (num * period) // den + 1
         return -(-(num * period) // den)
-
-
-def _tail_hit(seq, m: int, lo: int, hi: int, need) -> int | None:
-    """The least period p in [lo, hi] whose match run ending at index m reaches
-    need[p], or None.
-
-    Stateless: each run is counted backward from m, and only up to need[p].
-    A run at period p ending at m has at most m - p + 1 matches, so callers
-    keep 1 <= lo, 1 <= need[p] and p + need[p] <= m + 1 for every p in range.
-    """
-    x = seq[m]
-    for p in range(lo, hi + 1):
-        if seq[m - p] == x:
-            j, stop = m - 1, m - need[p]
-            while j > stop and seq[j] == seq[j - p]:
-                j -= 1
-            if j == stop:
-                return p
-    return None
 
 
 def _symbol_masks(w: str, blank: str | None = None) -> list[int]:

@@ -129,7 +129,8 @@ def extend_word_search(
     keeping every prefix free of squares of period >= k.  Returns the
     lexicographically least such word of target_len, or the longest prefix
     ever reached if no word of target_len exists (or the budget ran out).
-    Symbols are the digits 0..alphabet-1, so the alphabet is at most 10."""
+    Symbols are the digits 0..alphabet-1, so the alphabet is at most 10;
+    target_len is at most the free-word DFS's length budget."""
     if alphabet < 1 or k < 1 or target_len < 1:
         raise ValueError("need alphabet, k, target_len >= 1")
     if alphabet > 10:

@@ -410,12 +410,7 @@ def _fmt_frac(x: Fraction) -> str:
 
 
 def _rep_dict(rep: Repetition) -> dict:
-    return {
-        "start": rep.start,
-        "length": rep.length,
-        "period": rep.period,
-        "exponent": _fmt_frac(rep.exponent),
-    }
+    return {**asdict(rep), "exponent": _fmt_frac(rep.exponent)}
 
 
 @dataclass
@@ -450,23 +445,24 @@ class Certificate:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "morphism": self.morphism_name,
-            "images": list(self.images),
-            "k": self.k,
-            "beta": _fmt_frac(self.beta),
-            "n": self.n,
-            "d": self.d,
-            "factor_len": self.factor_len,
-            "p_star": self.p_star,
-            "covered_window": self.covered_window,
-            "source_words": self.source_words,
-            "checks": [asdict(c) for c in self.checks],
-            "passed": self.passed,
-        }
+        doc = asdict(self)
+        doc["morphism"] = doc.pop("morphism_name")
+        return {**doc, "beta": _fmt_frac(self.beta), "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+
+
+# the longest source words the certificate enumerates: their number grows
+# about 1.25x per symbol, to 166 710 at 40, where g2 certifies in about 28 s
+# and g5 in about 81 s (2-core host, 17 MB peak RSS)
+_MAX_FACTOR_LEN = 40
+
+
+def _check_factor_len_budget(factor_len: int, implied: bool) -> None:
+    if factor_len > _MAX_FACTOR_LEN:
+        what = "these parameters need factor_len >=" if implied else "factor_len"
+        raise ConfigurationError(f"{what} {factor_len}: past the budget of {_MAX_FACTOR_LEN}")
 
 
 def certify_morphic_tree_coloring(
@@ -481,7 +477,8 @@ def certify_morphic_tree_coloring(
 
     Raises ConfigurationError (with the minimal admissible value) when
     factor_len is too small for the enumeration to cover every period the
-    structural bounds leave open.  When the morphism table admits no
+    structural bounds leave open, and when the given or implied factor_len
+    is past _MAX_FACTOR_LEN.  When the morphism table admits no
     structural run bounds at all, the enumeration still runs over every
     period the window can exhibit: a violation found that way is a sound
     failure verdict, but a clean sweep is inconclusive and raises."""
@@ -497,6 +494,12 @@ def certify_morphic_tree_coloring(
 
     st = analyze_morphism_structure(m)
     width = st.width
+    # every image window of d symbols must be covered, and the period walks
+    # below take about d steps: decide the budget from d before them
+    if factor_len is None:
+        _check_factor_len_budget(ceil(Fraction(d, width)) + 1, implied=True)
+    else:
+        _check_factor_len_budget(factor_len, implied=False)
     p_star = directedness_threshold(beta, d)
     free_len = spec.free_spec.violation_length
 
@@ -526,6 +529,7 @@ def certify_morphic_tree_coloring(
     )
     if factor_len is None:
         factor_len = ceil(Fraction(need, width)) + 1
+        _check_factor_len_budget(factor_len, implied=True)
     covered = (factor_len - 1) * width
     if bounds_error is None and covered < need:
         min_fl = ceil(Fraction(need, width)) + 1
@@ -549,21 +553,19 @@ def certify_morphic_tree_coloring(
             continue
         imgs = [apply_morphism(m, src) for src in chunk]
         packed = _Packed(imgs)
-        # the images before the first freeness failure
-        clean = 0 if free_cx is not None else len(imgs)
         if free_cx is None:
             j = packed.first(packed.free_hits(free_spec))
             if j is not None:
-                clean = j
                 free_cx = _image_cx(chunk[j], imgs[j], is_power_free(imgs[j], free_spec))
         if square_cx is None:
             # a square has exponent 2 > beta, so an image that passed
-            # freeness has no square of period >= n; from the first freeness
-            # failure on, every period up to length // 2 is checked
-            hi = clean_hi if clean == len(imgs) else length // 2
+            # freeness has no square of period >= n; from the chunk of the
+            # first freeness failure on, every period up to length // 2 is
+            # checked (on images that passed, that finds the same squares)
+            hi = clean_hi if free_cx is None else length // 2
             j = packed.first(packed.square_hits(k, hi))
             if j is not None:
-                sq = find_squares(imgs[j], k, clean_hi if j < clean else length // 2)
+                sq = find_squares(imgs[j], k, hi)
                 square_cx = _image_cx(chunk[j], imgs[j], sq[0] if sq else None)
         if scan_cx is None:
             j = packed.first(packed.scan_hits(scan_dyn))
@@ -577,14 +579,9 @@ def certify_morphic_tree_coloring(
     if bounds_error is not None and not any((free_cx, square_cx, scan_cx, dir_cx)):
         raise bounds_error
 
-    structure_params = {
-        "width": width,
-        "distinct_images": st.distinct,
-        "shifted_window_hits": len(st.shifted_window_hits),
-        "lcp_max": st.lcp_max,
-        "lcs_max": st.lcs_max,
-        "solo_run_max": st.solo_run_max,
-    }
+    structure_params = asdict(st)
+    structure_params["distinct_images"] = structure_params.pop("distinct")
+    structure_params["shifted_window_hits"] = len(st.shifted_window_hits)
     checks = [
         CheckRecord(
             "image-freeness",

@@ -55,6 +55,17 @@ def test_atlas_graphs_are_the_filtered_atlas(max_vertices):
     assert [shape(g) for g in acceptance._atlas_graphs(max_vertices)] == want
 
 
+def test_criteria_table_holds_the_criterion_functions():
+    # run_all calls the table's entries, and the benchmark's layer tracer
+    # times a criterion by wrapping the function wherever it is bound; a
+    # tuple or lambda in the table would leave its acceptance.*_s untimed
+    assert sorted(acceptance._CRITERIA) == list(range(1, 10))
+    for n, fn in acceptance._CRITERIA.items():
+        assert fn is getattr(acceptance, f"criterion_{n}"), n
+    # a criterion returns its verdict; run_all alone times it
+    assert acceptance.criterion_1() == ("morphism fidelity", True, "g2 3x12, g5 3x21 tables")
+
+
 def _run(number):
     (result,) = acceptance.run_all([number])
     print(f"criterion {result.number} [{result.name}]: "

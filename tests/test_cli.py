@@ -195,6 +195,27 @@ def test_graph_gen_over_vertex_budget_exit_2(capsys, family, i):
     assert out == "" and err.startswith("error: ") and "budget" in err
 
 
+CERTIFY_G2 = ["treecert", "certify", "--morphism", "g2", "--k", "2", "--beta", "19/10", "--n", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["word", "gen", "--length", "100000000"], "length 100000050 is past the budget"),
+    (["search", "word", "--alphabet", "3", "--k", "1", "--target", "100000000"], "length 100000000 is past"),
+    # from d alone, before the period walks: ceil(d / 12) + 1
+    (CERTIFY_G2 + ["--d", "100000"], "need factor_len >= 8335: past the budget"),
+    (CERTIFY_G2 + ["--d", "1000"], "need factor_len >= 85: past the budget"),
+    # d alone implies 35; the periods the checks leave open need 265
+    (CERTIFY_G2 + ["--d", "400"], "need factor_len >= 265: past the budget"),
+    (CERTIFY_G2 + ["--d", "3", "--factor-len", "41"], "factor_len 41: past the budget"),
+], ids=["word-gen", "search-word", "certify-d100000", "certify-d1000", "certify-d400", "certify-factor-len-41"])
+def test_past_budget_exit_2(capsys, argv, message):
+    # refused before the word or the source words are built, instead of a
+    # MemoryError or a run of many seconds
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and err.startswith("error: ") and message in err
+
+
 def test_graph_verify(capsys, tmp_path):
     f = tmp_path / "p4.json"
     main(["graph", "gen", "--family", "path", "--n", "4", "--out", str(f)])

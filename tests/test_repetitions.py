@@ -8,13 +8,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nonrep.graphs import _tail_square
 from nonrep.words import G2, G5, PowerFreeSpec, apply_morphism
 from nonrep.repetitions import (
     Repetition,
     _match_mask,
     _run_reaches,
     _symbol_masks,
-    _tail_hit,
     find_squares,
     is_d_directed,
     is_power_free,
@@ -66,13 +66,13 @@ def test_match_run_kernel_matches_slice_definition(w, data):
         assert eq == sum(1 << j for j in range(n) if runs[j])
         for r in range(1, n + 1):
             assert _run_reaches(eq, r) == sum(1 << j for j in range(n) if runs[j] >= r)
+    # the path DFS's square test, at one index
     m = data.draw(st.integers(1, n - 1))
-    lo = data.draw(st.integers(1, m))
-    hi = data.draw(st.integers(lo - 1, m))
-    need = [0] + [data.draw(st.integers(1, m - p + 1)) for p in range(1, m + 1)]
-    want = next((p for p in range(lo, hi + 1) if slice_run(w, m, p) >= need[p]), None)
-    assert _tail_hit(w, m, lo, hi, need) == want
-    assert _tail_hit(list(w), m, lo, hi, need) == want
+    lo = data.draw(st.integers(1, (m + 1) // 2))
+    hi = data.draw(st.integers(lo - 1, (m + 1) // 2))
+    want = next((p for p in range(lo, hi + 1) if slice_run(w, m, p) >= p), None)
+    assert _tail_square(w, m, lo, hi) == want
+    assert _tail_square(list(w), m, lo, hi) == want
 
 
 def test_find_squares_examples():

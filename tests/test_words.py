@@ -79,8 +79,7 @@ def test_morphism_images_validated():
 
 
 def test_morphism_text_round_trip():
-    text = G2.to_text()
-    assert text.splitlines()[0] == "0 -> 011220012201"
+    text = "0 -> 011220012201\n1 -> 122001120012\n\n  2 -> 200112201120\n"
     assert Morphism.from_text(text) == G2
     with pytest.raises(ValueError):
         Morphism.from_text("1 -> 01")
@@ -242,6 +241,19 @@ def test_free_words_replay_past_checkpoints():
     for every in (1, 2, 3, 4):
         with mock.patch.object(words, "_EVERY", every):
             assert [("".join(w), kept) for w, kept in words._free_words(2, spec, 19)] == want
+
+
+def test_free_words_length_budget():
+    # a length past the budget is refused before any run state is built;
+    # the budget itself is admitted (only the first symbol is tried here)
+    word, kept = next(words._free_words(3, TERNARY_THRESHOLD, words._MAX_LENGTH))
+    assert word == ["0"] and kept
+    for search in (words._free_words(3, TERNARY_THRESHOLD, words._MAX_LENGTH + 1),
+                   iter_powerfree_ternary(words._MAX_LENGTH + 1)):
+        with pytest.raises(ValueError, match="past the budget"):
+            next(search)
+    with pytest.raises(ValueError, match="past the budget"):
+        generate_powerfree_ternary(10 ** 8)
 
 
 def test_generation_memory_grows_less_than_quadratically():
