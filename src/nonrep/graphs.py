@@ -91,11 +91,14 @@ class Graph:
     @classmethod
     def from_json_dict(cls, d) -> "Graph":
         """Inverse of to_json_dict; raises ValueError on a document of the
-        wrong shape."""
+        wrong shape or with more than _MAX_VERTICES vertices, before any
+        vertex is allocated."""
         if not isinstance(d, dict) or "n" not in d or "edges" not in d:
             raise ValueError("graph JSON must be an object with 'n' and 'edges'")
         if type(d["n"]) is not int or d["n"] < 0:
             raise ValueError(f"graph JSON 'n' must be a non-negative int, not {d['n']!r}")
+        if d["n"] > _MAX_VERTICES:
+            raise ValueError(f"graph JSON 'n' {d['n']} is past the budget of {_MAX_VERTICES} vertices")
         g = cls(d["n"])
         for e in _json_list(d["edges"], "edges"):
             g.add_edge(*_json_list(e, "edges", 2, ints=True))
@@ -525,13 +528,25 @@ def verify_coloring(
 
     Exhaustive whenever max_path >= g.n.  Three steps: (1) the probe runs
     the lexicographic path DFS for g.n path extensions and returns its verdict
-    if it reaches one; (2) the sweep reveals the colors in vertex order and
-    asks at each vertex v whether a square path of period k..max_path // 2
-    runs through v; (3) only if one does, the DFS runs again without the
-    probe's budget to name the least violating path.  The sweep is exact: the
-    last revealed vertex of a square path lies on it, and a path of at most
+    if it reaches one; (2) the sweep reveals the colors in decreasing vertex
+    index, n-1 down to 0, and asks at each vertex v whether a square path of
+    period k..min(max_path, revealed count) // 2 runs through v over the
+    revealed vertices; (3) only if one does, the DFS runs again without the
+    probe's budget to name the least violating path.  The sweep is exact for
+    any reveal order: the last revealed vertex of a square path lies on it,
+    and then all 2h of its vertices are revealed; and a path of at most
     max_path vertices holds a square of period >= k exactly when a square path
     of 2h <= max_path vertices with h >= k exists.
+
+    The order sets the cost.  The kernel at v walks every short path out of
+    v, so the sweep pays for the short paths whose last revealed vertex is
+    an endpoint.  Every family built here numbers a vertex after the ones it
+    hangs from (a tree parent, the face a stacked vertex goes into); revealed
+    from the highest index down, a tree path is last revealed at its top,
+    which is an endpoint only when the path runs straight down.  So the
+    kernel walks only downward paths, at most n of each length, where
+    increasing order also walks every path that climbs and then descends
+    into an earlier subtree.
     """
     if k < 1 or max_path < 1:
         raise ValueError("need k >= 1 and max_path >= 1")
@@ -539,12 +554,14 @@ def verify_coloring(
         raise ValueError("coloring size mismatch")
     if max_path < 2 or g.n < 2:
         return None  # a square spans at least two vertices
-    hit = _least_violation(g, coloring.colors, k, max_path, g.n)
+    colors = coloring.colors
+    hit = _least_violation(g, colors, k, max_path, g.n)
     if hit is not False:
         return hit
     revealed = [-1] * g.n
-    for v, c in enumerate(coloring.colors):
-        revealed[v] = c
-        if _square_through_vertex(g, revealed, v, k, min(max_path, v + 1) // 2, (c,)):
-            return _least_violation(g, coloring.colors, k, max_path)
+    for v in range(g.n - 1, -1, -1):
+        c = revealed[v] = colors[v]
+        # g.n - v vertices are revealed
+        if _square_through_vertex(g, revealed, v, k, min(max_path, g.n - v) // 2, (c,)):
+            return _least_violation(g, colors, k, max_path)
     return None

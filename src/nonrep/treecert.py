@@ -458,6 +458,12 @@ class Certificate:
 # and g5 in about 81 s (2-core host, 17 MB peak RSS)
 _MAX_FACTOR_LEN = 40
 
+# the freeness walk of _dynamic_periods stops after a window of
+# 8 * width * (beta's denominator) static periods and steps through about
+# 8 * denominator of them, one aligned period each: at this budget that is
+# well under a second for any width
+_MAX_BETA_DENOMINATOR = 10_000
+
 
 def _check_factor_len_budget(factor_len: int, implied: bool) -> None:
     if factor_len > _MAX_FACTOR_LEN:
@@ -478,7 +484,10 @@ def certify_morphic_tree_coloring(
     Raises ConfigurationError (with the minimal admissible value) when
     factor_len is too small for the enumeration to cover every period the
     structural bounds leave open, and when the given or implied factor_len
-    is past _MAX_FACTOR_LEN.  When the morphism table admits no
+    is past _MAX_FACTOR_LEN.  Before any period walk it refuses a beta
+    whose denominator is past _MAX_BETA_DENOMINATOR and a d whose image
+    windows alone imply a factor_len past that budget, so neither walk can
+    run long.  When the morphism table admits no
     structural run bounds at all, the enumeration still runs over every
     period the window can exhibit: a violation found that way is a sound
     failure verdict, but a clean sweep is inconclusive and raises."""
@@ -489,17 +498,21 @@ def certify_morphic_tree_coloring(
         raise ConfigurationError("source alphabet must be ternary")
     if not 1 < beta < 2:
         raise ConfigurationError("need 1 < beta < 2")
+    if beta.denominator > _MAX_BETA_DENOMINATOR:
+        raise ConfigurationError(
+            f"beta {beta}: denominator past the budget of {_MAX_BETA_DENOMINATOR}"
+        )
     if factor_len is not None and factor_len < 2:
         raise ConfigurationError("need factor_len >= 2", min_factor_len=2)
 
     st = analyze_morphism_structure(m)
     width = st.width
     # every image window of d symbols must be covered, and the period walks
-    # below take about d steps: decide the budget from d before them
-    if factor_len is None:
-        _check_factor_len_budget(ceil(Fraction(d, width)) + 1, implied=True)
-    else:
+    # below take about d steps: decide the budget from d before them, given
+    # factor_len or not
+    if factor_len is not None:
         _check_factor_len_budget(factor_len, implied=False)
+    _check_factor_len_budget(ceil(Fraction(d, width)) + 1, implied=True)
     p_star = directedness_threshold(beta, d)
     free_len = spec.free_spec.violation_length
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -207,7 +208,13 @@ CERTIFY_G2 = ["treecert", "certify", "--morphism", "g2", "--k", "2", "--beta", "
     # d alone implies 35; the periods the checks leave open need 265
     (CERTIFY_G2 + ["--d", "400"], "need factor_len >= 265: past the budget"),
     (CERTIFY_G2 + ["--d", "3", "--factor-len", "41"], "factor_len 41: past the budget"),
-], ids=["word-gen", "search-word", "certify-d100000", "certify-d1000", "certify-d400", "certify-factor-len-41"])
+    # from d alone too when factor_len is given, instead of a walk of d periods
+    (CERTIFY_G2 + ["--d", "10000000", "--factor-len", "8"], "need factor_len >= 833335: past the budget"),
+    # the freeness walk would step through 8 * 10^5 periods
+    (CERTIFY_G2[:6] + ["--beta", "199999/100000", "--n", "2", "--d", "3"],
+     "beta 199999/100000: denominator past the budget of 10000"),
+], ids=["word-gen", "search-word", "certify-d100000", "certify-d1000", "certify-d400", "certify-factor-len-41",
+        "certify-d10000000-factor-len-8", "certify-beta-denominator"])
 def test_past_budget_exit_2(capsys, argv, message):
     # refused before the word or the source words are built, instead of a
     # MemoryError or a run of many seconds
@@ -300,6 +307,18 @@ def test_graph_json_wrong_shape_exit_2(capsys, tmp_path, doc):
     f.write_text(json.dumps(doc))
     assert_usage_error(capsys, ["graph", "verify", "--graph", str(f), "--colors", "0", "--k", "1"])
     assert_usage_error(capsys, ["search", "pik", "--graph", str(f), "--k", "1"])
+
+
+def test_graph_json_past_vertex_budget_exit_2(capsys, tmp_path):
+    # one vertex past the budget of `graph gen`, refused before the adjacency
+    # sets are allocated (an n of 10^12 would exhaust memory)
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"n": 200_001, "edges": []}))
+    for argv in (["graph", "verify", "--graph", str(f), "--colors", "0", "--k", "1"],
+                 ["search", "pik", "--graph", str(f), "--k", "1"]):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and "'n' 200001 is past the budget of 200000 vertices" in err
 
 
 def test_search_pik(capsys):
@@ -407,26 +426,30 @@ EDGE_RATIONALS = st.sampled_from(["7/4", "3/2", "19/10", "83/42", "2"] * 3
 EDGE_WORDS = st.text("0123", max_size=8) | st.text("0123a\uff10", max_size=8)
 
 # per subcommand, its flags and the values each takes; `suite run` always
-# names a criterion that does not exist, so no argv runs the suite
+# names a criterion that does not exist, so no argv runs the suite.  A d of
+# 10^7, a beta of denominator 10^6 and the HUGE graph file are past a budget
+# and must exit 2 at once
 GRAMMAR = {
     ("word", "gen"): {"--length": EDGE_INTS},
     ("word", "check-free"): {"--beta": EDGE_RATIONALS, "--n": EDGE_INTS, "--strict": None, "word": EDGE_WORDS},
     ("word", "check-directed"): {"--d": EDGE_INTS, "word": EDGE_WORDS},
     ("morphism", "apply"): {"--morphism": st.sampled_from(["g2", "g5", "nosuch", ""]), "word": EDGE_WORDS},
     ("treecert", "certify"): {
-        "--morphism": st.sampled_from(["g2", "g5", "nosuch"]), "--k": EDGE_INTS, "--beta": EDGE_RATIONALS,
-        "--n": EDGE_INTS, "--d": EDGE_INTS, "--factor-len": EDGE_INTS | st.sampled_from(["8", "12"]),
+        "--morphism": st.sampled_from(["g2", "g5", "nosuch"]), "--k": EDGE_INTS,
+        "--beta": EDGE_RATIONALS | st.just("1999999/1000000"),
+        "--n": EDGE_INTS, "--d": EDGE_INTS | st.just("10000000"),
+        "--factor-len": EDGE_INTS | st.sampled_from(["8", "12"]),
     },
     ("graph", "gen"): {
         "--family": st.sampled_from(["path", "stacked", "outeru", "plus4", "leveled", "nosuch"]),
         "--i": EDGE_INTS, "--n": EDGE_INTS, "--m": EDGE_INTS,
     },
     ("graph", "verify"): {
-        "--graph": st.sampled_from(["GRAPH", "/no/such.json"]),
+        "--graph": st.sampled_from(["GRAPH", "HUGE", "/no/such.json"]),
         "--colors": st.sampled_from(["0,1,2,3", "0,1,2,0", "0,0", "1", "", "x", "-1,0"]),
         "--k": EDGE_INTS, "--max-path": EDGE_INTS,
     },
-    ("search", "pik"): {"--graph": st.sampled_from(["GRAPH", "/no/such.json"]), "--n": EDGE_INTS, "--k": EDGE_INTS},
+    ("search", "pik"): {"--graph": st.sampled_from(["GRAPH", "HUGE", "/no/such.json"]), "--n": EDGE_INTS, "--k": EDGE_INTS},
     ("search", "word"): {"--alphabet": EDGE_INTS | st.just("11"), "--k": EDGE_INTS,
                          "--target": EDGE_INTS | st.just("30")},
 }
@@ -456,17 +479,36 @@ def cli_argv(draw):
 
 
 @pytest.fixture(scope="module")
-def graph_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "g.json"
-    path.write_text(json.dumps(stacked_triangulation(1).to_json_dict()))
-    return str(path)
+def graph_files(tmp_path_factory):
+    # HUGE is past the vertex budget: unrefused, `search pik` on it runs for
+    # minutes, though its adjacency sets still fit in memory
+    docs = {"GRAPH": stacked_triangulation(1).to_json_dict(), "HUGE": {"n": 10**6, "edges": []}}
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, doc in docs.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(root / f"{name}.json") for name in docs}
+
+
+# every argv in the grammar exits far sooner; an oversized input that no
+# budget refuses fails the example here instead of holding up the suite
+FUZZ_DEADLINE_S = 5
+
+
+def _overtime(signum, frame):
+    raise AssertionError(f"no exit within {FUZZ_DEADLINE_S} s")
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_argv())
-def test_cli_fuzz_exit_codes(argv, graph_file, capsys):
-    argv = [graph_file if a == "GRAPH" else a for a in argv]
-    rc = main(argv)
+def test_cli_fuzz_exit_codes(argv, graph_files, capsys):
+    argv = [graph_files.get(a, a) for a in argv]
+    previous = signal.signal(signal.SIGALRM, _overtime)
+    signal.setitimer(signal.ITIMER_REAL, FUZZ_DEADLINE_S)
+    try:
+        rc = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     out, err = capsys.readouterr()
     assert rc in (0, 1, 2), argv
     assert "Traceback" not in out + err, argv

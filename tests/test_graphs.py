@@ -5,6 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nonrep import graphs
+from nonrep.acceptance import _naive_verify as _naive_least_violation
 from nonrep.graphs import (
     Coloring,
     Graph,
@@ -422,6 +424,60 @@ def test_verify_coloring_names_violation_past_the_probe():
     coloring = Coloring((0, 1, 0, 2, 0, 1, 2, 2), 3)
     assert _least_violation(g, coloring.colors, 1, g.n, g.n) is False
     assert verify_coloring(g, coloring, 1, g.n) == ((6, 7), Repetition(0, 2, 1))
+
+
+def _disable_probe(mp):
+    """Make verify_coloring's budgeted probe reach no verdict, so that the
+    sweep decides every one; the unbudgeted DFS still names the path."""
+    dfs = graphs._least_violation
+    mp.setattr(graphs, "_least_violation",
+               lambda g, colors, k, max_path, limit=0: False if limit else dfs(g, colors, k, max_path))
+
+
+def _relabelled(g, coloring, perm):
+    h = Graph(g.n)
+    for u, v in g.edges():
+        h.add_edge(perm[u], perm[v])
+    colors = [0] * g.n
+    for v, c in enumerate(coloring.colors):
+        colors[perm[v]] = c
+    return h, Coloring(tuple(colors), coloring.color_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_graphs(), st.integers(1, 3), st.data())
+def test_sweep_decides_like_the_naive_oracle_in_any_numbering(case, k, data):
+    # the sweep reveals vertices from the highest index down; a random
+    # relabelling moves each square's last revealed vertex anywhere on it,
+    # and max_path runs below and above n
+    g, coloring = case
+    max_path = data.draw(st.integers(2, g.n + 2))
+    perm = data.draw(st.permutations(range(g.n)))
+    with pytest.MonkeyPatch.context() as mp:
+        _disable_probe(mp)
+        for h, c in ((g, coloring), _relabelled(g, coloring, perm)):
+            assert verify_coloring(h, c, k, max_path) == _naive_least_violation(h, c, k, max_path)
+
+
+def test_sweep_finds_a_square_at_the_last_vertex_revealed(monkeypatch):
+    # the path 1-2-3-0 reads 0101, the only square: the sweep meets it only
+    # when it reveals vertex 0, last
+    g = Graph(4)
+    for u, v in ((1, 2), (2, 3), (3, 0)):
+        g.add_edge(u, v)
+    coloring = Coloring((1, 0, 1, 0), 2)
+    kernel = graphs._square_through_vertex
+    calls = []
+
+    def spy(g, colors, v, k, pmax, cands):
+        calls.append((v, pmax, kernel(g, colors, v, k, pmax, cands)))
+        return calls[-1][2]
+
+    _disable_probe(monkeypatch)
+    monkeypatch.setattr(graphs, "_square_through_vertex", spy)
+    assert verify_coloring(g, coloring, 1, 4) == ((0, 3, 2, 1), Repetition(0, 4, 2))
+    # the period cap counts revealed vertices: 1, 2, 3, then 4
+    assert calls == [(3, 0, set()), (2, 1, set()), (1, 1, set()), (0, 2, {1})]
 
 
 def _naive_square_through(adj, colors, v, k, pmax) -> bool:
