@@ -260,45 +260,32 @@ def criterion_8() -> Verdict:
     return "construction invariants", not failures, detail
 
 
-def _naive_square_table(chunk, k: int):
-    """For a chunk of equal-length words as a numpy int array, the list of
-    (start, period) pairs per word by the literal triple-loop definition,
-    vectorized across the chunk."""
-    import numpy as np
-
-    n, length = chunk.shape
-    out = [[] for _ in range(n)]
-    for p in range(k, length // 2 + 1):
-        for t in range(0, length - 2 * p + 1):
-            eq = (chunk[:, t : t + p] == chunk[:, t + p : t + 2 * p]).all(axis=1)
-            for idx in np.nonzero(eq)[0]:
-                out[idx].append((t, p))
-    return out
-
-
 _C9A_MAX_LEN = 14
 
 
 def criterion_9a_words() -> bool:
-    """find_squares agrees with the naive triple loop on every ternary word of
-    length <= _C9A_MAX_LEN."""
-    import numpy as np
+    """find_squares returns, in its (start, period) order, exactly the
+    squares found by slice compares at each end index, on every ternary word
+    of length 2.._C9A_MAX_LEN.  One walk grows the words a symbol at a time:
+    appending at end index e adds the squares (e - 2p + 1, p) whose two
+    halves x[e-2p+1 : e-p+1] and x[e-p+1 : e+1] are equal, so a word's
+    squares are its prefix's plus those."""
 
-    for length in range(2, _C9A_MAX_LEN + 1):
-        total = 3 ** length
-        powers = 3 ** np.arange(length - 1, -1, -1, dtype=np.int64)
-        chunk_size = 200_000
-        for lo in range(0, total, chunk_size):
-            idx = np.arange(lo, min(lo + chunk_size, total), dtype=np.int64)
-            digits = (idx[:, None] // powers) % 3
-            naive = _naive_square_table(digits.astype(np.int8), 1)
-            text = (digits + ord("0")).astype(np.uint8).tobytes()
-            for j in range(len(idx)):
-                w = text[j * length : (j + 1) * length].decode()
-                fast = [(r.start, r.period) for r in find_squares(w, 1, length // 2)]
-                if sorted(fast) != sorted(naive[j]):
-                    return False
-    return True
+    def walk(x: str, squares: list[tuple[int, int]]) -> bool:
+        n = len(x)
+        if n >= 2 and [(r.start, r.period) for r in find_squares(x, 1, n // 2)] != sorted(squares):
+            return False
+        if n == _C9A_MAX_LEN:
+            return True
+        for s in "012":
+            y = x + s
+            ends = [(n - 2 * p + 1, p) for p in range(1, (n + 1) // 2 + 1)
+                    if y[n - 2 * p + 1 : n - p + 1] == y[n - p + 1 :]]
+            if not walk(y, squares + ends):
+                return False
+        return True
+
+    return walk("", [])
 
 
 def _naive_verify(g: Graph, coloring: Coloring, k: int, max_path: int):

@@ -114,6 +114,15 @@ _FAMILIES = {
 }
 
 
+def _read_graph(path: str) -> Graph:
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # json recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return Graph.from_json_dict(doc)
+
+
 def cmd_graph(args) -> int:
     if args.action == "gen":
         g = _FAMILIES[args.family](args)
@@ -124,8 +133,7 @@ def cmd_graph(args) -> int:
         else:
             print(text)
         return 0
-    with open(args.graph) as fh:
-        g = Graph.from_json_dict(json.load(fh))
+    g = _read_graph(args.graph)
     colors = tuple(int(c) for c in args.colors.split(","))
     coloring = Coloring(colors, max(colors) + 1)
     max_path = g.n if args.max_path is None else args.max_path
@@ -141,11 +149,7 @@ def cmd_graph(args) -> int:
 def cmd_search(args) -> int:
     budget = _default_budget()
     if args.action == "pik":
-        if args.graph:
-            with open(args.graph) as fh:
-                g = Graph.from_json_dict(json.load(fh))
-        else:
-            g = path_graph(args.n)
+        g = _read_graph(args.graph) if args.graph else path_graph(args.n)
         res = pi_k_exact(g, args.k, budget)
         witness = list(res.witness.colors) if res.witness else None
         print(json.dumps({**asdict(res), "value": res.value, "witness": witness}, sort_keys=True))

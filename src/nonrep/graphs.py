@@ -373,11 +373,15 @@ def _complete(adj, colors, on_path, v: int, seq: list[int], h: int) -> bool:
     return False
 
 
-def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int, pmax: int, cands) -> set[int]:
+def _square_through_vertex(
+    g: Graph, colors: list[int], on_path: list[bool], v: int, k: int, pmax: int, cands
+) -> set[int]:
     """The colors c in cands for which, with v colored c, some simple path
     through v over the colored vertices (colors[u] >= 0) reads a color square
     of period h with k <= h <= pmax (one spans 2h colored vertices, so pmax
-    past half their count is moot).  colors[v] is never read.
+    past half their count is moot).  colors[v] is never read.  on_path is
+    the caller's all-False mark list of g.n entries, reused across calls: the
+    walk clears every mark it sets before it returns.
 
     Read a square path x_0, ..., x_{2h-1} through v = x_j from the end that
     puts v in its second half (j >= h).  Then R = x_j, x_{j-1}, ..., x_0, the
@@ -406,7 +410,6 @@ def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int, pmax: in
     if k > pmax or not undecided:
         return bad
     adj = g.adj
-    on_path = [False] * g.n
     on_path[v] = True
     seq = [-1]  # v's color: never read, each period carries its own tag
     # the colors a completion walk can start with: it leaves v by a neighbour
@@ -444,6 +447,9 @@ def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int, pmax: in
                 undecided.discard(tag)
                 bad.add(tag)
                 if not undecided:
+                    for x, _, _ in stack:
+                        on_path[x] = False
+                    on_path[u] = False
                     return bad
                 stack = [(x, it, [p for p in ps if seq[p] != tag]) for x, it, ps in stack]
                 grown = [p for p in grown if seq[p] != tag]
@@ -559,9 +565,10 @@ def verify_coloring(
     if hit is not False:
         return hit
     revealed = [-1] * g.n
+    on_path = [False] * g.n
     for v in range(g.n - 1, -1, -1):
         c = revealed[v] = colors[v]
         # g.n - v vertices are revealed
-        if _square_through_vertex(g, revealed, v, k, min(max_path, g.n - v) // 2, (c,)):
+        if _square_through_vertex(g, revealed, on_path, v, k, min(max_path, g.n - v) // 2, (c,)):
             return _least_violation(g, colors, k, max_path)
     return None

@@ -60,6 +60,7 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
         return PiResult(0, 0, Coloring((), 1), False)
     deadline = time.monotonic() + budget.time_limit
     nodes = 0
+    on_path = [False] * g.n  # the kernel's path marks, all False between calls
 
     def solve(ncolors: int) -> Coloring | bool | None:
         """Coloring if one exists, False if provably none, None on budget."""
@@ -87,7 +88,7 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
             if nodes > budget.node_limit or time.monotonic() > deadline:
                 return None
             if c == 0:  # vertices 0..v-1 are colored
-                bad[v] = _square_through_vertex(g, colors, v, k, (v + 1) // 2, range(top))
+                bad[v] = _square_through_vertex(g, colors, on_path, v, k, (v + 1) // 2, range(top))
             if c not in bad[v]:
                 colors[v] = c
                 used[v + 1] = max(used[v], c + 1)

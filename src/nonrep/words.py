@@ -232,9 +232,7 @@ def generate_powerfree_ternary(length: int) -> str:
     """
     if length < 0:
         raise ValueError("length must be >= 0")
-    n = length + _MARGIN
-    words = (w for w, kept in _free_words(3, TERNARY_THRESHOLD, n) if kept and len(w) == n)
-    word = next(words, None)
+    word = next(iter_powerfree_ternary(length + _MARGIN), None)
     if word is None:
         raise RuntimeError("no extendable power-free word found; margin too small")
-    return "".join(word[:length])
+    return word[:length]

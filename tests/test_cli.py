@@ -321,6 +321,17 @@ def test_graph_json_past_vertex_budget_exit_2(capsys, tmp_path):
         assert rc == 2 and out == "" and "'n' 200001 is past the budget of 200000 vertices" in err
 
 
+def test_graph_json_nested_too_deeply_exit_2(capsys, tmp_path):
+    # the json parser recurses once per level and raises RecursionError
+    f = tmp_path / "g.json"
+    f.write_text("[" * 200_000)
+    for argv in (["graph", "verify", "--graph", str(f), "--colors", "0", "--k", "1"],
+                 ["search", "pik", "--graph", str(f), "--k", "1"]):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and "JSON nested too deeply" in err
+
+
 def test_search_pik(capsys):
     assert main(["search", "pik", "--n", "4", "--k", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -445,11 +456,12 @@ GRAMMAR = {
         "--i": EDGE_INTS, "--n": EDGE_INTS, "--m": EDGE_INTS,
     },
     ("graph", "verify"): {
-        "--graph": st.sampled_from(["GRAPH", "HUGE", "/no/such.json"]),
+        "--graph": st.sampled_from(["GRAPH", "HUGE", "DEEP", "/no/such.json"]),
         "--colors": st.sampled_from(["0,1,2,3", "0,1,2,0", "0,0", "1", "", "x", "-1,0"]),
         "--k": EDGE_INTS, "--max-path": EDGE_INTS,
     },
-    ("search", "pik"): {"--graph": st.sampled_from(["GRAPH", "HUGE", "/no/such.json"]), "--n": EDGE_INTS, "--k": EDGE_INTS},
+    ("search", "pik"): {"--graph": st.sampled_from(["GRAPH", "HUGE", "DEEP", "/no/such.json"]),
+                        "--n": EDGE_INTS, "--k": EDGE_INTS},
     ("search", "word"): {"--alphabet": EDGE_INTS | st.just("11"), "--k": EDGE_INTS,
                          "--target": EDGE_INTS | st.just("30")},
 }
@@ -481,12 +493,17 @@ def cli_argv(draw):
 @pytest.fixture(scope="module")
 def graph_files(tmp_path_factory):
     # HUGE is past the vertex budget: unrefused, `search pik` on it runs for
-    # minutes, though its adjacency sets still fit in memory
-    docs = {"GRAPH": stacked_triangulation(1).to_json_dict(), "HUGE": {"n": 10**6, "edges": []}}
+    # minutes, though its adjacency sets still fit in memory.  DEEP nests
+    # deeper than the json parser recurses
+    texts = {
+        "GRAPH": json.dumps(stacked_triangulation(1).to_json_dict()),
+        "HUGE": json.dumps({"n": 10**6, "edges": []}),
+        "DEEP": "[" * 200_000,
+    }
     root = tmp_path_factory.mktemp("fuzz")
-    for name, doc in docs.items():
-        (root / f"{name}.json").write_text(json.dumps(doc))
-    return {name: str(root / f"{name}.json") for name in docs}
+    for name, text in texts.items():
+        (root / f"{name}.json").write_text(text)
+    return {name: str(root / f"{name}.json") for name in texts}
 
 
 # every argv in the grammar exits far sooner; an oversized input that no

@@ -469,8 +469,8 @@ def test_sweep_finds_a_square_at_the_last_vertex_revealed(monkeypatch):
     kernel = graphs._square_through_vertex
     calls = []
 
-    def spy(g, colors, v, k, pmax, cands):
-        calls.append((v, pmax, kernel(g, colors, v, k, pmax, cands)))
+    def spy(g, colors, on_path, v, k, pmax, cands):
+        calls.append((v, pmax, kernel(g, colors, on_path, v, k, pmax, cands)))
         return calls[-1][2]
 
     _disable_probe(monkeypatch)
@@ -532,7 +532,9 @@ def test_square_through_vertex_matches_brute_force(case, k, pmax, cands):
     g = Graph(n)
     for a, b in edges:
         g.add_edge(a, b)
-    got = _square_through_vertex(g, list(colors), v, k, pmax, cands)
+    on_path = [False] * n
+    got = _square_through_vertex(g, list(colors), on_path, v, k, pmax, cands)
+    assert not any(on_path)  # the kernel clears its marks, found or not
     for c in range(4):
         colors[v] = c
         assert (c in got) == (c in cands and _naive_square_through(g.adj, colors, v, k, pmax))

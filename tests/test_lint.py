@@ -2,8 +2,9 @@
 never uses (no linter is a dependency, so the check reads the syntax tree
 itself; `__init__.py` is skipped: its imports are the package's re-exports),
 and none uses `assert`, which `python -O` strips, as a runtime check.
-The certificate path does not import numpy, which would add about 11 MB to the
-resident size of a process that peaks near 22 MB."""
+No module imports numpy, which is not a dependency; in particular the
+certificate path does not load it, which would add about 11 MB to the resident
+size of a process that peaks near 22 MB."""
 
 import ast
 import os
@@ -56,6 +57,27 @@ def test_asserts_detected():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert asserts(path.read_text()) == []
+
+
+def imported_roots(source: str) -> set[str]:
+    """The top-level package of every absolute import, at any depth."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_imported_roots_detected():
+    source = "import os.path\nfrom . import x\ndef f():\n    from numpy.linalg import norm\n"
+    assert imported_roots(source) == {"os", "numpy"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_imports(path):
+    assert "numpy" not in imported_roots(path.read_text())
 
 
 def test_certificate_path_imports_no_numpy():
