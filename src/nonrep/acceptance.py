@@ -372,7 +372,7 @@ _CRITERIA = {
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    numbers = sorted(_CRITERIA) if numbers is None else sorted(numbers)
+    numbers = sorted(_CRITERIA) if numbers is None else sorted(set(numbers))
     unknown = [i for i in numbers if i not in _CRITERIA]
     if unknown:
         raise ValueError(f"unknown criterion numbers {unknown} (known: {sorted(_CRITERIA)})")

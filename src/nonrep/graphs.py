@@ -44,16 +44,12 @@ class Graph:
         self.levels: list[int] | None = None
         self.family: str | None = None
 
-    def add_vertex(self, neighbors=(), log: bool = False) -> int:
+    def add_vertex(self, neighbors=()) -> int:
         v = self.n
         self.n += 1
         self.adj.append(set())
         for u in neighbors:
             self.add_edge(u, v)
-        if log:
-            if self.construction_log is None:
-                self.construction_log = []
-            self.construction_log.append((v, tuple(sorted(neighbors))))
         return v
 
     def add_edge(self, u: int, v: int) -> None:
@@ -179,7 +175,8 @@ def _stack_rounds(rounds: int):
         inserted: dict[frozenset, int] = {}
         new_faces = []
         for a, b, c in faces:
-            v = g.add_vertex((a, b, c), log=True)
+            v = g.add_vertex((a, b, c))
+            g.construction_log.append((v, tuple(sorted((a, b, c)))))
             inserted[frozenset((a, b, c))] = v
             new_faces += [(a, b, v), (a, c, v), (b, c, v)]
         faces = new_faces

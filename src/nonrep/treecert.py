@@ -133,18 +133,15 @@ class MorphismStructure:
             return None
         return 2 * self.width - 2
 
-    def aligned_run_bound(self, q: int) -> int | None:
-        if not self.distinct:
-            return None
-        blocks = (3 * q) // 4
-        return max(self.solo_run_max, self.lcs_max + self.width * blocks + self.lcp_max)
-
     def run_bound(self, p: int) -> int | None:
         if p < 1:
             raise ValueError("need p >= 1")
         if p % self.width:
             return self.misaligned_run_bound()
-        return self.aligned_run_bound(p // self.width)
+        if not self.distinct:
+            return None
+        blocks = (3 * (p // self.width)) // 4
+        return max(self.solo_run_max, self.lcs_max + self.width * blocks + self.lcp_max)
 
 
 def analyze_morphism_structure(m: Morphism) -> MorphismStructure:
@@ -357,9 +354,10 @@ class _Packed:
 
     Every period checked is at most L, so a match run or mirror pair never
     crosses a gap (see `_scan_image_centers`), and one pass per period
-    answers a check for all words at once.  Each *_hits method ORs the
-    per-period hit masks of one check, on the loop body that the per-word
-    check runs; `first` names the word of the lowest hit."""
+    answers a check for all words at once.  The class holds only this
+    packing: each check's caller runs the per-word check's own per-period
+    loop on `masks` and hands its hit masks to `first`, which names the word
+    of the lowest hit."""
 
     def __init__(self, words: list[str]):
         self.length = len(words[0])
@@ -369,32 +367,13 @@ class _Packed:
         for m in self.masks:
             self.everywhere |= m
 
-    def first(self, hits: int) -> int | None:
-        """The index of the first word with a bit in hits, or None."""
+    def first(self, hit_masks) -> int | None:
+        """The index of the first word with a bit in any of hit_masks, or
+        None."""
+        hits = 0
+        for h in hit_masks:
+            hits |= h
         return ((hits & -hits).bit_length() - 1) // self.stride if hits else None
-
-    def free_hits(self, spec: PowerFreeSpec) -> int:
-        """Ends of repetitions violating spec (`is_power_free`)."""
-        hits = 0
-        for _, _, _, ends in _violation_ends(self.masks, self.length, spec):
-            hits |= ends
-        return hits
-
-    def square_hits(self, lo: int, hi: int) -> int:
-        """Ends of squares of period in [lo, hi] (`find_squares`)."""
-        hits = 0
-        for p in range(lo, hi + 1):
-            hits |= _run_reaches(_match_mask(self.masks, p), p)
-        return hits
-
-    def scan_hits(self, periods) -> int:
-        """Centers with a crossing square of a period in periods
-        (`_scan_image_centers`)."""
-        hits = 0
-        for p in periods:
-            for _, centers in _crossing_centers(self.masks, self.everywhere, p):
-                hits |= centers
-        return hits
 
 
 def _image_cx(src: str, img: str, rep: Repetition | None) -> dict:
@@ -402,15 +381,12 @@ def _image_cx(src: str, img: str, rep: Repetition | None) -> dict:
     what the per-image check found there."""
     if rep is None:
         raise RuntimeError(f"packed pass flagged the image of {src} but its own check passes")
-    return {"source": src, "image": img, "repetition": _rep_dict(rep)}
+    repetition = {**asdict(rep), "exponent": _fmt_frac(rep.exponent)}
+    return {"source": src, "image": img, "repetition": repetition}
 
 
 def _fmt_frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def _rep_dict(rep: Repetition) -> dict:
-    return {**asdict(rep), "exponent": _fmt_frac(rep.exponent)}
 
 
 @dataclass
@@ -567,7 +543,7 @@ def certify_morphic_tree_coloring(
         imgs = [apply_morphism(m, src) for src in chunk]
         packed = _Packed(imgs)
         if free_cx is None:
-            j = packed.first(packed.free_hits(free_spec))
+            j = packed.first(ends for *_, ends in _violation_ends(packed.masks, length, free_spec))
             if j is not None:
                 free_cx = _image_cx(chunk[j], imgs[j], is_power_free(imgs[j], free_spec))
         if square_cx is None:
@@ -576,12 +552,13 @@ def certify_morphic_tree_coloring(
             # first freeness failure on, every period up to length // 2 is
             # checked (on images that passed, that finds the same squares)
             hi = clean_hi if free_cx is None else length // 2
-            j = packed.first(packed.square_hits(k, hi))
+            j = packed.first(_run_reaches(_match_mask(packed.masks, p), p) for p in range(k, hi + 1))
             if j is not None:
                 sq = find_squares(imgs[j], k, hi)
                 square_cx = _image_cx(chunk[j], imgs[j], sq[0] if sq else None)
         if scan_cx is None:
-            j = packed.first(packed.scan_hits(scan_dyn))
+            j = packed.first(centers for p in scan_dyn
+                             for _, centers in _crossing_centers(packed.masks, packed.everywhere, p))
             if j is not None:
                 i, delta, rep = _scan_image_centers(imgs[j], scan_dyn) or (None, None, None)
                 scan_cx = {"center": i, "delta": delta, **_image_cx(chunk[j], imgs[j], rep)}

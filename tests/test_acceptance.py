@@ -86,6 +86,11 @@ def test_criteria_table_holds_the_criterion_functions():
     assert acceptance.criterion_1() == ("morphism fidelity", True, "g2 3x12, g5 3x21 tables")
 
 
+def test_run_all_runs_each_distinct_criterion_once_in_order():
+    assert [r.number for r in acceptance.run_all([1, 1])] == [1]
+    assert [r.number for r in acceptance.run_all([7, 1, 7])] == [1, 7]
+
+
 def _run(number):
     (result,) = acceptance.run_all([number])
     print(f"criterion {result.number} [{result.name}]: "

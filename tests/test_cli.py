@@ -1,5 +1,6 @@
 """Exit-code contract and output format for the command-line interface."""
 
+import hashlib
 import json
 import os
 import signal
@@ -118,6 +119,50 @@ def test_treecert_certify_fail(capsys, tmp_path):
     out = capsys.readouterr().out
     assert rc == 1
     assert json.loads(out)["passed"] is False
+
+
+# the certificates of the benchmark's certify workload, as (name, morphism,
+# k, beta, n, d, --factor-len), with the sha256 of repr((exit code, stdout,
+# stderr)) of each: every byte of a certificate is pinned, its period lists,
+# structure parameters, counts and counterexamples included
+PINNED_CERTIFICATES = [
+    ("g2-fl8", "g2", 2, "19/10", 2, 3, 8,
+     "33faab7a7ad37c333b819efda45b74e3da0b9f9927242f6cc7b1024f6e6e641b"),
+    ("g2-fl9", "g2", 2, "19/10", 2, 3, 9,
+     "acba53e0c4855e56b640958ca62c48858872e9dc190acd2a386a4fd82b4029d3"),
+    ("g2-fl10", "g2", 2, "19/10", 2, 3, 10,
+     "fc8c0b532d62e2b2da2a292574e1add6f6715164221f2a0925fc014570dd0e85"),
+    ("g5-fl9", "g5", 5, "83/42", 5, 20, 9,
+     "f3c9d93d6eb5d1df8814c49a87df705b20a0c6c1a5ada349023027208d283d1b"),
+    ("g2-k1", "g2", 1, "19/10", 2, 3, 8,
+     "151eca7d39d6d8db30ac43bba70963ba1eb8ee99d5107af6ba823d061990b658"),
+    ("g2-beta3/2", "g2", 2, "3/2", 2, 3, 8,
+     "77afbb2c53a323c1cb9d57729593f753e29f79377e52aeb14d5e3b1a6068e3cf"),
+    ("g2-d2", "g2", 2, "19/10", 2, 2, 8,
+     "6747e7be636e7a277a13ef54e6866efb62604aa79bec68be823f648d22a5d876"),
+    ("g5-beta7/4", "g5", 5, "7/4", 5, 20, 9,
+     "1d7b22f2e6d6fe17c88482c52c7f7334f53c7d8ee9ece5865acaa1c7882c3cb7"),
+    ("g5-d10", "g5", 5, "83/42", 5, 10, None,
+     "e8b534d4c1371ad8a1228f252c89a0c73e0005de20201113fe24eb4439262c9a"),
+    ("g5-fl3", "g5", 5, "83/42", 5, 20, 3,
+     "52fcecbc9bbe66976f56616faf9cdea5ee566758d6b68c7f0869303c9e16c9fb"),
+    ("g5-beta7/4-minimal", "g5", 5, "7/4", 5, 20, None,
+     "093182c06e7a92226ba3522629703e5b29f90e747bbb2ed46b010f2b82a699d1"),
+    ("g2-beta2", "g2", 2, "2/1", 2, 3, 8,
+     "c128078c138b36e779e4aeec9ea5a5f99a841f80bdcfbafe1c9be253bdb9b351"),
+]
+
+
+@pytest.mark.parametrize("name, morphism, k, beta, n, d, factor_len, digest", PINNED_CERTIFICATES,
+                         ids=[c[0].replace("/", "_") for c in PINNED_CERTIFICATES])
+def test_treecert_certificate_bytes_pinned(capsys, name, morphism, k, beta, n, d, factor_len, digest):
+    argv = ["treecert", "certify", "--morphism", morphism, "--k", str(k), "--beta", beta,
+            "--n", str(n), "--d", str(d)]
+    if factor_len is not None:
+        argv += ["--factor-len", str(factor_len)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert hashlib.sha256(repr((rc, captured.out, captured.err)).encode()).hexdigest() == digest
 
 
 def _certify_short_window(capsys, tmp_path, table, args):
@@ -392,6 +437,14 @@ def test_suite_only_flag(capsys):
     assert main(["suite", "run", "--only", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc) == 1 and doc[0]["number"] == 1 and doc[0]["passed"] is True
+
+
+def test_suite_only_repeated_number_runs_once(capsys):
+    assert main(["suite", "run", "--only", "1,1", "--json"]) == 0
+    assert [r["number"] for r in json.loads(capsys.readouterr().out)] == [1]
+    assert main(["suite", "run", "--only", "7,1,7"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [row.split()[0] for row in rows] == ["1", "7"]
 
 
 # one argv per subcommand, passing, failing and refused ones mixed

@@ -63,10 +63,10 @@ def test_stacked_faces_are_triangles():
 
 def test_check_3tree_failure():
     k5 = Graph(0)
-    k5.add_vertex(log=True)
-    for i in range(1, 5):
+    k5.construction_log = []
+    for i in range(5):
         # log a clique record even though the neighborhood is too large
-        k5.add_vertex(range(i), log=True)
+        k5.construction_log.append((k5.add_vertex(range(i)), tuple(range(i))))
     assert check_3tree(k5) is not None
     with pytest.raises(ValueError):
         check_3tree(path_graph(3))  # no construction log

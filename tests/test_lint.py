@@ -2,6 +2,8 @@
 never uses (no linter is a dependency, so the check reads the syntax tree
 itself; `__init__.py` is skipped: its imports are the package's re-exports),
 and none uses `assert`, which `python -O` strips, as a runtime check.
+Every function, class and method the package defines has a caller in the
+package, so no helper is kept alive by tests alone.
 No module imports numpy, which is not a dependency; in particular the
 certificate path does not load it, which would add about 11 MB to the resident
 size of a process that peaks near 22 MB."""
@@ -43,6 +45,56 @@ def test_unused_imports_detected():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    """The functions, classes and non-dunder methods defined in the modules
+    of sources (name -> source text) that no module references outside the
+    definition's own body, by a name, an attribute or an imported alias."""
+    defs, refs = [], []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defs.append((module, node.name, node.lineno, node.end_lineno))
+            elif isinstance(node, ast.Name):
+                refs.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((module, node.attr, node.lineno))
+            elif isinstance(node, ast.alias):
+                refs.append((module, node.name, node.lineno))
+    return [
+        f"{module} line {first}: {name}"
+        for module, name, first, last in defs
+        if not any(ref == name and (where != module or not first <= line <= last)
+                   for where, ref, line in refs)
+    ]
+
+
+def test_uncalled_definitions_detected():
+    source = (
+        "def countdown(n):\n"
+        "    return countdown(n - 1) if n else 0\n"
+        "def helper():\n"
+        "    return 1\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        return helper()\n"
+        "    def unused(self):\n"
+        "        return self.unused\n"
+        "    def __repr__(self):\n"
+        "        return 'C'\n"
+        "C().method()\n"
+    )
+    assert uncalled_definitions({"a.py": source}) == ["a.py line 1: countdown", "a.py line 8: unused"]
+    # an import from another module is a reference
+    assert uncalled_definitions({"a.py": "def f():\n    pass\n", "b.py": "from .a import f as g\n"}) == []
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    # __init__.py is skipped: its re-exports are no callers
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    assert uncalled_definitions(sources) == []
 
 
 def asserts(source: str) -> list[int]:

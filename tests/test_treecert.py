@@ -14,13 +14,15 @@ from hypothesis import given, settings, strategies as st
 from nonrep.words import (G2, G5, Morphism, PowerFreeSpec, apply_morphism, factors,
                           generate_powerfree_ternary, iter_powerfree_ternary)
 from nonrep import treecert
-from nonrep.repetitions import Repetition, find_squares, is_power_free
+from nonrep.repetitions import (Repetition, _match_mask, _run_reaches, _violation_ends, find_squares,
+                                 is_power_free)
 from nonrep.treecert import (
     BranchCheckSpec,
     ConfigurationError,
     MorphismStructure,
     _Packed,
     _chunks,
+    _crossing_centers,
     _dynamic_periods,
     _scan_image_centers,
     _image_windows,
@@ -388,18 +390,39 @@ def equal_length_words(draw):
     return words
 
 
+# the per-period hit masks the certificate hands to `_Packed.first`, from
+# the loops of is_power_free, find_squares and _scan_image_centers
+
+
+def free_hits(spec):
+    return lambda pk: (ends for *_, ends in _violation_ends(pk.masks, pk.length, spec))
+
+
+def square_hits(lo, hi):
+    return lambda pk: (_run_reaches(_match_mask(pk.masks, p), p) for p in range(lo, hi + 1))
+
+
+def scan_hits(periods):
+    return lambda pk: (centers for p in periods
+                       for _, centers in _crossing_centers(pk.masks, pk.everywhere, p))
+
+
 def packed_flags(words, hits_of):
     """The indices of the words a packed pass flags, chunk by chunk, after
-    checking that no hit lies in a gap and that `first` names the least."""
+    checking that no hit lies in a gap and that `first` names the least.
+    hits_of gives the per-period hit masks of one check on a packing."""
     flagged = []
     offset = 0
     for chunk in _chunks(words, len(words[0])):
         packed = _Packed(chunk)
-        hits = hits_of(packed)
+        hit_masks = list(hits_of(packed))
+        hits = 0
+        for h in hit_masks:
+            hits |= h
         assert hits & ~packed.everywhere == 0
         block = (1 << packed.stride) - 1
         mine = [j for j in range(len(chunk)) if (hits >> (j * packed.stride)) & block]
-        assert packed.first(hits) == (mine[0] if mine else None)
+        assert packed.first(iter(hit_masks)) == (mine[0] if mine else None)
         flagged += [offset + j for j in mine]
         offset += len(chunk)
     return flagged
@@ -426,9 +449,9 @@ def test_packed_pass_flags_the_words_each_check_fails(words, beta, strict, n, lo
     periods = list(range(lo, min(lo + extra, length) + 1))
     bits = 2 * length * per_chunk or treecert._PACK_BITS
     with mock.patch.object(treecert, "_PACK_BITS", bits):
-        free = packed_flags(words, lambda pk: pk.free_hits(spec))
-        squares = packed_flags(words, lambda pk: pk.square_hits(lo, hi))
-        scan = packed_flags(words, lambda pk: pk.scan_hits(periods))
+        free = packed_flags(words, free_hits(spec))
+        squares = packed_flags(words, square_hits(lo, hi))
+        scan = packed_flags(words, scan_hits(periods))
     assert free == [i for i, w in enumerate(words) if is_power_free(w, spec) is not None]
     assert squares == [i for i, w in enumerate(words) if find_squares(w, lo, hi)]
     assert scan == [i for i, w in enumerate(words) if _scan_image_centers(w, periods) is not None]
@@ -447,10 +470,10 @@ def test_packed_pass_past_one_chunk_of_the_module_size():
     assert len(list(_chunks(words, 200))) == 2
     planted = list(range(3, 170, 10))
     spec = PowerFreeSpec(Fraction(83, 42), min_period=5)
-    assert packed_flags(words, lambda pk: pk.free_hits(spec)) == planted
-    assert packed_flags(words, lambda pk: pk.square_hits(5, 8)) == planted
+    assert packed_flags(words, free_hits(spec)) == planted
+    assert packed_flags(words, square_hits(5, 8)) == planted
     periods = range(5, 30)
-    scan = packed_flags(words, lambda pk: pk.scan_hits(periods))
+    scan = packed_flags(words, scan_hits(periods))
     assert scan == [i for i, w in enumerate(words) if _scan_image_centers(w, periods) is not None]
     assert scan == planted
 
