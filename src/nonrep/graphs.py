@@ -344,41 +344,40 @@ def u_witness(i: int, x: int, t: int) -> dict[int, int]:
     return mapping
 
 
-def _complete(adj, colors, on_path, v: int, seq: list[int], h: int) -> bool:
+def _complete(adj, colors, v: int, seq: list[int], h: int) -> bool:
     """Is there an off-path walk from v reading seq[h-1], ..., seq[L-h]?  The
-    walk clears its own on_path marks before it returns, found or not, so the
-    caller's walk may go on after a hit."""
+    walk marks its own vertices as on the path (color -1) and restores them
+    before it returns, found or not, so the caller's walk may go on after a hit."""
     walk: list[int] = []
     stack = [iter(adj[v])]
     while stack:
         want = seq[h - 1 - len(walk)]
         for u in stack[-1]:
-            if colors[u] == want and not on_path[u]:
+            if colors[u] == want:
                 break
         else:
             stack.pop()
             if walk:
-                on_path[walk.pop()] = False
+                w = walk.pop()
+                colors[w] = seq[h - 1 - len(walk)]
             continue
         if len(seq) + len(walk) + 1 == 2 * h:
-            for w in walk:
-                on_path[w] = False
+            for i, w in enumerate(walk):
+                colors[w] = seq[h - 1 - i]
             return True
         walk.append(u)
-        on_path[u] = True
+        colors[u] = -1
         stack.append(iter(adj[u]))
     return False
 
 
-def _square_through_vertex(
-    g: Graph, colors: list[int], on_path: list[bool], v: int, k: int, pmax: int, cands
-) -> set[int]:
+def _square_through_vertex(g: Graph, colors: list[int], v: int, k: int, pmax: int, cands) -> set[int]:
     """The colors c in cands for which, with v colored c, some simple path
     through v over the colored vertices (colors[u] >= 0) reads a color square
     of period h with k <= h <= pmax (one spans 2h colored vertices, so pmax
-    past half their count is moot).  colors[v] is never read.  on_path is
-    the caller's all-False mark list of g.n entries, reused across calls: the
-    walk clears every mark it sets before it returns.
+    past half their count is moot).  v's entry is never read as a color: the
+    walk marks each path vertex, v too, as -1 in colors, and restores every
+    entry before it returns, found or not.
 
     Read a square path x_0, ..., x_{2h-1} through v = x_j from the end that
     puts v in its second half (j >= h).  Then R = x_j, x_{j-1}, ..., x_0, the
@@ -397,20 +396,19 @@ def _square_through_vertex(
     candidate not yet decided; R[h] is h's tag, the color v must have.  An
     alive h with 2h == L is a square; any other alive h is completed by a
     narrow walk from v that follows only off-path neighbours of the next
-    required color.  A square decides its tag, and the alive periods with
-    that tag are dropped.  The walk returns once every candidate is decided.
-    R grows only by a vertex that keeps or starts a period, or while it stays
-    short enough (L <= pmax) for a later period to join.
+    required color, if a neighbour of v other than R[1] has the color R[h-1]
+    (so never at a vertex with one colored neighbour).  A square decides its
+    tag, and the alive periods with that tag are dropped.  The walk returns
+    once every candidate is decided.  R grows only by a vertex that keeps or
+    starts a period, or while it stays short enough (L <= pmax) for a later
+    period to join.
     """
+    if k > pmax or not cands:
+        return set()
     undecided = set(cands)
-    bad: set[int] = set()
-    if k > pmax or not undecided:
-        return bad
     adj = g.adj
-    on_path[v] = True
-    seq = [-1]  # v's color: never read, each period carries its own tag
-    # the colors a completion walk can start with: it leaves v by a neighbour
-    firsts = set(map(colors.__getitem__, adj[v]))
+    seq = [colors[v]]  # R's colors; seq[0] only keeps v's entry for the restore
+    colors[v] = -1
     stack = [(v, iter(adj[v]), [])]  # per path vertex: neighbours left, alive periods
     while stack:
         _, nbrs, alive = stack[-1]
@@ -419,7 +417,7 @@ def _square_through_vertex(
         # for a later one to join (k <= pmax here)
         for u in nbrs:
             c = colors[u]
-            if c < 0 or on_path[u]:
+            if c < 0:
                 continue
             # an alive h has 2h > L: at 2h == L it was a square
             grown = [h for h in alive if seq[L - h] == c] if alive else []
@@ -428,30 +426,31 @@ def _square_through_vertex(
             if grown or L < pmax:
                 break
         else:
-            on_path[stack.pop()[0]] = False
-            seq.pop()
+            colors[stack.pop()[0]] = seq.pop()
             continue
         seq.append(c)
-        on_path[u] = True
+        colors[u] = -1
         L += 1
+        if L == 2:
+            # R[1] is chosen: a completion walk starts by another neighbour
+            firsts = set(map(colors.__getitem__, adj[v]))
         for h in grown:
             # the tag test follows the hit: grown holds undecided tags but
             # for one decided earlier in this loop, so it rarely fails
             if (
-                2 * h == L or seq[h - 1] in firsts and _complete(adj, colors, on_path, v, seq, h)
+                2 * h == L or seq[h - 1] in firsts and _complete(adj, colors, v, seq, h)
             ) and seq[h] in undecided:
                 tag = seq[h]
                 undecided.discard(tag)
-                bad.add(tag)
                 if not undecided:
-                    for x, _, _ in stack:
-                        on_path[x] = False
-                    on_path[u] = False
-                    return bad
+                    for (x, _, _), c in zip(stack, seq):
+                        colors[x] = c
+                    colors[u] = seq[-1]
+                    return set(cands)
                 stack = [(x, it, [p for p in ps if seq[p] != tag]) for x, it, ps in stack]
                 grown = [p for p in grown if seq[p] != tag]
         stack.append((u, iter(adj[u]), grown))
-    return bad
+    return set(cands) - undecided
 
 
 def _tail_square(seq, m: int, lo: int, hi: int) -> int | None:
@@ -522,6 +521,33 @@ def _least_violation(g: Graph, colors, k: int, max_path: int, limit: int = 0):
     return None
 
 
+def _swept_square(g: Graph, colors, k: int, max_path: int) -> bool:
+    """Does some path of at most max_path vertices read a color square of
+    period >= k?  The sweep reveals the colors in decreasing vertex index and
+    asks the kernel at each vertex v whether a square path of period
+    k..min(max_path, revealed count) // 2 runs through v over the revealed
+    vertices.  It is exact for any reveal order: the last revealed vertex of a
+    square path lies on it; and a path of at most max_path vertices holds a
+    square of period >= k exactly when a square path of 2h <= max_path
+    vertices with h >= k exists.
+
+    The order sets the cost: the kernel at v walks every short path out of
+    v.  Every family built here numbers a vertex after the ones it hangs
+    from (a tree parent, the face a stacked vertex goes into), so revealed
+    from the highest index down, a tree path is last revealed at its top,
+    and the kernel walks only downward paths, at most n of each length;
+    increasing order would also walk every path that climbs and then
+    descends into an earlier subtree.
+    """
+    revealed = [-1] * g.n
+    for v in range(g.n - 1, -1, -1):
+        # g.n - v vertices are revealed, v among them
+        if _square_through_vertex(g, revealed, v, k, min(max_path, g.n - v) // 2, (colors[v],)):
+            return True
+        revealed[v] = colors[v]
+    return False
+
+
 def verify_coloring(
     g: Graph, coloring: Coloring, k: int, max_path: int
 ) -> tuple[tuple[int, ...], Repetition] | None:
@@ -529,43 +555,20 @@ def verify_coloring(
     square of period >= k; otherwise the lexicographically least violating path
     with the (smallest-period) repetition ending at its last vertex.
 
-    Exhaustive whenever max_path >= g.n.  Three steps: (1) the probe runs
-    the lexicographic path DFS for g.n path extensions and returns its verdict
-    if it reaches one; (2) the sweep reveals the colors in decreasing vertex
-    index, n-1 down to 0, and asks at each vertex v whether a square path of
-    period k..min(max_path, revealed count) // 2 runs through v over the
-    revealed vertices; (3) only if one does, the DFS runs again without the
-    probe's budget to name the least violating path.  The sweep is exact for
-    any reveal order: the last revealed vertex of a square path lies on it,
-    and then all 2h of its vertices are revealed; and a path of at most
-    max_path vertices holds a square of period >= k exactly when a square path
-    of 2h <= max_path vertices with h >= k exists.
-
-    The order sets the cost.  The kernel at v walks every short path out of
-    v, so the sweep pays for the short paths whose last revealed vertex is
-    an endpoint.  Every family built here numbers a vertex after the ones it
-    hangs from (a tree parent, the face a stacked vertex goes into); revealed
-    from the highest index down, a tree path is last revealed at its top,
-    which is an endpoint only when the path runs straight down.  So the
-    kernel walks only downward paths, at most n of each length, where
-    increasing order also walks every path that climbs and then descends
-    into an earlier subtree.
+    Exhaustive whenever max_path >= g.n.  None at once if max_path or g.n is
+    below 2k, where no square of period >= k fits; else three steps: (1) the
+    probe runs the lexicographic path DFS for g.n path extensions and returns
+    its verdict if it reaches one; (2) the sweep (`_swept_square`) decides;
+    (3) only on a violation, the DFS runs again without budget to name it.
     """
     if k < 1 or max_path < 1:
         raise ValueError("need k >= 1 and max_path >= 1")
     if len(coloring.colors) != g.n:
         raise ValueError("coloring size mismatch")
-    if max_path < 2 or g.n < 2:
-        return None  # a square spans at least two vertices
+    if max_path < 2 * k or g.n < 2 * k:
+        return None
     colors = coloring.colors
     hit = _least_violation(g, colors, k, max_path, g.n)
     if hit is not False:
         return hit
-    revealed = [-1] * g.n
-    on_path = [False] * g.n
-    for v in range(g.n - 1, -1, -1):
-        c = revealed[v] = colors[v]
-        # g.n - v vertices are revealed
-        if _square_through_vertex(g, revealed, on_path, v, k, min(max_path, g.n - v) // 2, (c,)):
-            return _least_violation(g, colors, k, max_path)
-    return None
+    return _least_violation(g, colors, k, max_path) if _swept_square(g, colors, k, max_path) else None

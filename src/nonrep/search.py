@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, Coloring, _square_through_vertex, verify_coloring
+from .graphs import Graph, Coloring, _square_through_vertex, _swept_square, verify_coloring
 from .repetitions import PowerFreeSpec
 from .words import _free_words
 
@@ -53,14 +53,13 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
     forward checking (on entering a vertex, one walk over the paths through it
     decides which of its candidate colors close a square) and symmetry
     breaking: vertex 0 gets color 0, and color c+1 may appear only once
-    color c has."""
+    color c has.  The witness is checked by the verifier's sweep alone."""
     if k < 1:
         raise ValueError("need k >= 1")
     if g.n == 0:
         return PiResult(0, 0, Coloring((), 1), False)
     deadline = time.monotonic() + budget.time_limit
     nodes = 0
-    on_path = [False] * g.n  # the kernel's path marks, all False between calls
 
     def solve(ncolors: int) -> Coloring | bool | None:
         """Coloring if one exists, False if provably none, None on budget."""
@@ -88,7 +87,7 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
             if nodes > budget.node_limit or time.monotonic() > deadline:
                 return None
             if c == 0:  # vertices 0..v-1 are colored
-                bad[v] = _square_through_vertex(g, colors, on_path, v, k, (v + 1) // 2, range(top))
+                bad[v] = _square_through_vertex(g, colors, v, k, (v + 1) // 2, range(top))
             if c not in bad[v]:
                 colors[v] = c
                 used[v + 1] = max(used[v], c + 1)
@@ -101,11 +100,9 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
         if res is None:
             return PiResult(lower, None, None, True, nodes)
         if res is not False:
-            check = verify_coloring(g, res, k, g.n)
-            if check is not None:
-                raise RuntimeError(
-                    f"pi_k search returned a witness coloring that the verifier rejects: {check}"
-                )
+            if _swept_square(g, res.colors, k, g.n):
+                check = verify_coloring(g, res, k, g.n)  # names the path
+                raise RuntimeError(f"pi_k search returned a witness the verifier rejects: {check}")
             return PiResult(ncolors, ncolors, res, False, nodes)
         lower = ncolors + 1
     # palette exhausted: the lower bound is proven, not a budget timeout

@@ -401,6 +401,17 @@ def test_verify_coloring_matches_naive_random_graphs(case, k, data):
         assert got == (want, _tail_repetition(g, coloring, want, k))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_colored_graphs(), st.data())
+def test_verify_coloring_below_twice_the_period_matches_naive(case, data):
+    # k runs up past n / 2 and max_path down to 1, so the early return
+    # (max_path or n below 2k: no square fits) meets the oracle too
+    g, coloring = case
+    k = data.draw(st.integers(1, g.n + 1))
+    max_path = data.draw(st.integers(1, g.n + 2))
+    assert verify_coloring(g, coloring, k, max_path) == _naive_least_violation(g, coloring, k, max_path)
+
+
 def test_verify_coloring_short_paths():
     # a square spans two vertices: one-vertex graphs and max_path 1 are clean
     assert verify_coloring(path_graph(1), Coloring((0,), 1), 1, 1) is None
@@ -469,8 +480,8 @@ def test_sweep_finds_a_square_at_the_last_vertex_revealed(monkeypatch):
     kernel = graphs._square_through_vertex
     calls = []
 
-    def spy(g, colors, on_path, v, k, pmax, cands):
-        calls.append((v, pmax, kernel(g, colors, on_path, v, k, pmax, cands)))
+    def spy(g, colors, v, k, pmax, cands):
+        calls.append((v, pmax, kernel(g, colors, v, k, pmax, cands)))
         return calls[-1][2]
 
     _disable_probe(monkeypatch)
@@ -532,9 +543,9 @@ def test_square_through_vertex_matches_brute_force(case, k, pmax, cands):
     g = Graph(n)
     for a, b in edges:
         g.add_edge(a, b)
-    on_path = [False] * n
-    got = _square_through_vertex(g, list(colors), on_path, v, k, pmax, cands)
-    assert not any(on_path)  # the kernel clears its marks, found or not
+    marked = list(colors)
+    got = _square_through_vertex(g, marked, v, k, pmax, cands)
+    assert marked == colors  # the kernel restores its path marks, found or not
     for c in range(4):
         colors[v] = c
         assert (c in got) == (c in cands and _naive_square_through(g.adj, colors, v, k, pmax))

@@ -1,11 +1,13 @@
 """Tests for exact pi_k search and word extension search."""
 
 import contextlib
+import hashlib
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nonrep.acceptance import _rooted_trees
 from nonrep.graphs import (
     Coloring,
     Graph,
@@ -188,12 +190,35 @@ def test_ternary_squarefree_never_dead_ends():
 
 
 def test_pi_k_exact_rejected_witness_raises(monkeypatch):
+    # the witness check is the sweep alone; when it reports a square, the
+    # error names the path the full verifier returns
     from nonrep import search
     from nonrep.repetitions import Repetition
 
+    monkeypatch.setattr(search, "_swept_square", lambda *args: True)
     monkeypatch.setattr(search, "verify_coloring", lambda *args: ((0, 1), Repetition(0, 2, 1)))
-    with pytest.raises(RuntimeError, match="witness"):
+    with pytest.raises(RuntimeError, match=r"witness.*\(0, 1\)"):
         search.pi_k_exact(path_graph(3), 1)
+
+
+def test_pi_k_exact_sweeps_its_clean_witness(monkeypatch):
+    # a clean witness still costs one sweep kernel call per vertex: the
+    # search's kernel calls go through the search module's binding, the
+    # sweep's through the graphs module's
+    from nonrep import graphs, search
+
+    kernel = graphs._square_through_vertex
+    swept = []
+
+    def spy(g, colors, v, k, pmax, cands):
+        swept.append(v)
+        return kernel(g, colors, v, k, pmax, cands)
+
+    monkeypatch.setattr(graphs, "_square_through_vertex", spy)
+    g = stacked_triangulation(1)
+    res = search.pi_k_exact(g, 1)
+    assert res.value == 5
+    assert swept == list(range(g.n - 1, -1, -1))
 
 
 def test_budget_validation():
@@ -246,6 +271,28 @@ def test_pi_k_exact_pinned(name, k, node_limit, want):
     res = pi_k_exact(_PINNED_GRAPHS[name](), k, budget)
     witness = res.witness.colors if res.witness else None
     assert (res.lower, res.upper, res.exhausted, res.nodes, witness) == want
+
+
+def test_pi_k_exact_pinned_by_digest():
+    # the sha256 of the repr of every (lower, upper, exhausted, nodes,
+    # witness) over criterion 6's searches: each rooted tree of at most 8
+    # vertices at k = 1..5, P_4..P_14 at k = 1 and P_2..P_60 at k = 3
+    graphs = []
+    for parent in _rooted_trees(8):
+        g = Graph(len(parent))
+        for v in range(1, len(parent)):
+            g.add_edge(parent[v], v)
+        graphs += [(g, k) for k in range(1, 6)]
+    graphs += [(path_graph(n), 1) for n in range(4, 15)]
+    graphs += [(path_graph(n), 3) for n in range(2, 61)]
+    rows = []
+    for g, k in graphs:
+        res = pi_k_exact(g, k)
+        rows.append((res.lower, res.upper, res.exhausted, res.nodes,
+                     res.witness.colors if res.witness else None))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert (len(rows), digest) == (
+        1070, "013f554372f427c6a99b819219713f64f530a4fd1a250ad5e6b7b7714dc8bc05")
 
 
 @settings(max_examples=25, deadline=None)
