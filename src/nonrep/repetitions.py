@@ -12,11 +12,12 @@ ANDs in turn give the indices where the run reaches r (`_run_reaches`), in
 O(log r) big-int operations (Shift-And: Baeza-Yates & Gonnet, CACM 1992;
 Myers, JACM 1999).  The freeness check's per-period loop is the generator
 `_violation_ends`, which the tree certificate also runs over many images
-packed into one set of masks.  The run has two more forms, each beside its
-one caller: the free-word DFS (`words._free_words`) packs the runs at the
-tail of a growing word into fixed-width fields of one int, and the graph
-path DFS (`graphs._tail_square`) counts the run at its tail one period at a
-time.
+packed into one set of masks, reading them through a `_match_table`: one
+per chunk, shared by its freeness, square and center-scan passes.  The run
+has two more forms, each beside its one caller: the free-word DFS
+(`words._free_words`) packs the runs at the tail of a growing word into
+fixed-width fields of one int, and the graph path DFS (`graphs._tail_square`)
+counts the run at its tail one period at a time.
 
 The oracle tests pin every form against slice comparisons.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +107,11 @@ def _match_mask(masks: list[int], p: int) -> int:
     return eq
 
 
+def _match_table(masks: list[int]):
+    """q -> _match_mask(masks, q), each mask computed once and kept."""
+    return cache(lambda q: _match_mask(masks, q))
+
+
 def _run_reaches(eq: int, r: int) -> int:
     """The bits j where the match run ending at j reaches r >= 1, i.e. bits
     j - r + 1 .. j of the match mask eq are all set.  Each AND with a shifted
@@ -118,7 +125,7 @@ def _run_reaches(eq: int, r: int) -> int:
 
 def find_squares(w: str, min_period: int, max_period: int) -> list[Repetition]:
     """All square occurrences in w with period in [min_period, max_period],
-    sorted by (start, period)."""
+    sorted by (start, period); each period is asked for once, so no table."""
     if not 1 <= min_period <= max_period:
         raise ValueError("need 1 <= min_period <= max_period")
     masks = _symbol_masks(w)
@@ -134,17 +141,17 @@ def find_squares(w: str, min_period: int, max_period: int) -> list[Repetition]:
     return [Repetition(start, 2 * p, p) for start, p in hits]
 
 
-def _violation_ends(masks: list[int], n: int, spec: PowerFreeSpec):
+def _violation_ends(eq, n: int, spec: PowerFreeSpec):
     """For each period p >= spec.min_period whose violation fits in n
-    symbols, in order: (p, violation length, match mask, the bits j where a
-    violating factor of period p ends), i.e. where the match run at p reaches
-    the violation length minus p, which is at least 1."""
+    symbols, in order: (p, violation length, match mask eq(p), the bits j
+    where a violating factor of period p ends), i.e. where the match run at
+    p reaches the violation length minus p, which is at least 1."""
     for p in range(spec.min_period, n):
         length = spec.violation_length(p)
         if length > n:
             return
-        eq = _match_mask(masks, p)
-        yield p, length, eq, _run_reaches(eq, length - p)
+        match = eq(p)
+        yield p, length, match, _run_reaches(match, length - p)
 
 
 def is_power_free(w: str, spec: PowerFreeSpec) -> Repetition | None:
@@ -152,7 +159,7 @@ def is_power_free(w: str, spec: PowerFreeSpec) -> Repetition | None:
     repetition with smallest start, then smallest period, reported at its
     maximal length (the full periodic run)."""
     best = None  # (start, period, match mask)
-    for p, length, eq, ends in _violation_ends(_symbol_masks(w), len(w), spec):
+    for p, length, eq, ends in _violation_ends(partial(_match_mask, _symbol_masks(w)), len(w), spec):
         if best is not None:
             # once a violation starts at s, only starts before s can beat it
             ends &= (1 << (best[0] + length - 1)) - 1

@@ -37,8 +37,8 @@ period checked is at most L, so no match run and no mirror pair of the
 center scan reaches across a gap, and one pass per period over the packed
 masks answers a check for every image.  The lowest hit, divided by the
 stride 2L, names the first failing source word; the per-image check then
-names its counterexample exactly as it would alone.  Images are packed in
-chunks of at most _PACK_BITS bits, so memory does not grow with factor_len.
+names its counterexample exactly as it would alone.  Memory does not grow
+with factor_len: a chunk keeps its symbol masks and at most L match masks.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .words import (
     factors,
     iter_powerfree_ternary,
 )
-from .repetitions import (PowerFreeSpec, Repetition, _match_mask, _reversal_pair, _run_reaches,
+from .repetitions import (PowerFreeSpec, Repetition, _match_table, _reversal_pair, _run_reaches,
                           _symbol_masks, _violation_ends, find_squares, is_power_free)
 from .graphs import Coloring, complete_tree
 
@@ -235,18 +235,20 @@ def _dynamic_periods(st: MorphismStructure, lo: int, needed, slope: Fraction) ->
 # per-image dynamic checks
 
 
-def _crossing_centers(masks: list[int], everywhere: int, p: int):
+def _crossing_centers(eq, p: int):
     """For one period p: (delta, centers) from the largest feasible delta
     down to 1, where centers has bit i set when a square of period p in the
     palindromic branch word over img[:i + 1] ends delta symbols past center i.
-    masks are the symbol masks of the word and everywhere the mask of its
-    symbol positions.
+    eq maps a period q to the word's match mask; eq(0) marks its symbols.
 
     It first ANDs the mirror masks for delta = 1, 2, ... (the delta-th has
     bit i set when the first delta mirror pairs img[i-p+j] == img[i-j] agree)
     until none is left.  Then, from the largest such delta down, it meets each
     with the mask of centers whose trailing match run reaches p - delta, which
-    one shifted AND of the match mask narrows per step.
+    one shifted AND of the match mask narrows per step.  The delta-th pair
+    alone is a match at period |p - 2 delta| read at its later index, which
+    is i - delta while 2 delta <= p and i - p + delta past p/2: its mask is
+    eq(|p - 2 delta|) << min(delta, p - delta).
 
     No separate cut enforces delta <= i and the fit left of the center,
     i >= 2p - 1 - delta: a mirror pair at j = delta reads img[i - delta], a
@@ -254,24 +256,21 @@ def _crossing_centers(masks: list[int], everywhere: int, p: int):
     img[i - 2p + 1 + delta], and at delta = p the mirror pairs read back to
     img[i - p].  Bits whose reads fall before a word's first symbol are never
     set, and neither are bits where no symbol is."""
-    mirrors = [everywhere]
+    mirrors = [eq(0)]
     for delta in range(1, p + 1):
         # bit i: img[i - p + delta] == img[i - delta]
-        pair = 0
-        for m in masks:
-            pair |= (m << delta) & (m << (p - delta))
-        pair &= mirrors[-1]
+        pair = (eq(abs(p - 2 * delta)) << min(delta, p - delta)) & mirrors[-1]
         if not pair:
             break
         mirrors.append(pair)
     top = len(mirrors) - 1
     if not top:
         return
-    eq = _match_mask(masks, p)
-    reach = _run_reaches(eq, p - top) if top < p else everywhere
+    match = eq(p)
+    reach = _run_reaches(match, p - top) if top < p else mirrors[0]
     for delta in range(top, 0, -1):
         yield delta, mirrors[delta] & reach
-        reach &= eq << (p - delta)
+        reach &= match << (p - delta)
 
 
 def _scan_image_centers(img: str, periods):
@@ -286,10 +285,10 @@ def _scan_image_centers(img: str, periods):
     delta > p reduce to delta' = 2p - 1 - delta by the palindrome's mirror
     symmetry, and delta = 0 squares lie inside the image itself.
 
-    Per period the scan works on bit masks over the centers i
-    (`_crossing_centers`); a center whose least admissible delta is delta
-    shows up at that delta.  The packed certificate pass (`_Packed`) ORs the
-    same masks over many images laid end to end, each followed by a gap of
+    Per period the scan works on bit masks over the centers i, made from
+    match masks (`_crossing_centers`); a center whose least admissible delta
+    is delta shows up at that delta.  The packed certificate pass (`_Packed`)
+    runs it on many images laid end to end, each followed by a gap of
     len(img) empty positions.  Each bit of a match or mirror mask reads
     positions at most p <= len(img) before it, so a read past an image's
     start lands in the gap, never in the image before: no bit mixes two
@@ -297,18 +296,12 @@ def _scan_image_centers(img: str, periods):
 
     Returns (center, delta, Repetition-in-branch-word) for the least period,
     then the least center, then the least delta; or None."""
-    masks = _symbol_masks(img)
-    everywhere = (1 << len(img)) - 1
+    eq = _match_table(_symbol_masks(img))
     for p in periods:
-        best = None
-        for delta, centers in _crossing_centers(masks, everywhere, p):
-            if centers:
-                i = (centers & -centers).bit_length() - 1
-                if best is None or i <= best[0]:
-                    best = (i, delta)
-        if best is None:
+        hits = [((c & -c).bit_length() - 1, delta) for delta, c in _crossing_centers(eq, p) if c]
+        if not hits:
             continue
-        i, delta = best
+        i, delta = min(hits)
         branch = img[: i + 1] + img[:i][::-1]
         end = i + delta
         start = end - 2 * p + 1
@@ -321,13 +314,14 @@ def _scan_image_centers(img: str, periods):
     return None
 
 
-_PACK_BITS = 1 << 16  # bits per packed chunk, at most
+_PACK_BITS = 1 << 16  # bits per chunk mask, at most (one image of more packs alone)
 
 
 def _chunks(items, length: int):
     """Consecutive runs of items, as many per list as fit in _PACK_BITS when
-    each packs to 2 * length bits, so that memory does not grow with the
-    number of items."""
+    each packs to 2 * length bits (at least one), so that memory does not
+    grow with the number of items: a chunk holds its symbol masks and at
+    most `length` match masks, each of max(_PACK_BITS, length) bits at most."""
     per = max(1, _PACK_BITS // (2 * length))
     it = iter(items)
     while chunk := list(islice(it, per)):
@@ -356,16 +350,13 @@ class _Packed:
     crosses a gap (see `_scan_image_centers`), and one pass per period
     answers a check for all words at once.  The class holds only this
     packing: each check's caller runs the per-word check's own per-period
-    loop on `masks` and hands its hit masks to `first`, which names the word
-    of the lowest hit."""
+    loop on a `_match_table` of `masks` and hands its hit masks to `first`,
+    which names the word of the lowest hit."""
 
     def __init__(self, words: list[str]):
         self.length = len(words[0])
         self.stride = 2 * self.length
         self.masks = _symbol_masks((" " * self.length).join(words), blank=" ")
-        self.everywhere = 0
-        for m in self.masks:
-            self.everywhere |= m
 
     def first(self, hit_masks) -> int | None:
         """The index of the first word with a bit in any of hit_masks, or
@@ -542,8 +533,9 @@ def certify_morphic_tree_coloring(
             continue
         imgs = [apply_morphism(m, src) for src in chunk]
         packed = _Packed(imgs)
+        eq = _match_table(packed.masks)  # shared by the three passes
         if free_cx is None:
-            j = packed.first(ends for *_, ends in _violation_ends(packed.masks, length, free_spec))
+            j = packed.first(ends for *_, ends in _violation_ends(eq, length, free_spec))
             if j is not None:
                 free_cx = _image_cx(chunk[j], imgs[j], is_power_free(imgs[j], free_spec))
         if square_cx is None:
@@ -552,13 +544,12 @@ def certify_morphic_tree_coloring(
             # first freeness failure on, every period up to length // 2 is
             # checked (on images that passed, that finds the same squares)
             hi = clean_hi if free_cx is None else length // 2
-            j = packed.first(_run_reaches(_match_mask(packed.masks, p), p) for p in range(k, hi + 1))
+            j = packed.first(_run_reaches(eq(p), p) for p in range(k, hi + 1))
             if j is not None:
                 sq = find_squares(imgs[j], k, hi)
                 square_cx = _image_cx(chunk[j], imgs[j], sq[0] if sq else None)
         if scan_cx is None:
-            j = packed.first(centers for p in scan_dyn
-                             for _, centers in _crossing_centers(packed.masks, packed.everywhere, p))
+            j = packed.first(centers for p in scan_dyn for _, centers in _crossing_centers(eq, p))
             if j is not None:
                 i, delta, rep = _scan_image_centers(imgs[j], scan_dyn) or (None, None, None)
                 scan_cx = {"center": i, "delta": delta, **_image_cx(chunk[j], imgs[j], rep)}

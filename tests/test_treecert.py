@@ -9,13 +9,13 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nonrep.words import (G2, G5, Morphism, PowerFreeSpec, apply_morphism, factors,
                           generate_powerfree_ternary, iter_powerfree_ternary)
-from nonrep import treecert
-from nonrep.repetitions import (Repetition, _match_mask, _run_reaches, _violation_ends, find_squares,
-                                 is_power_free)
+from nonrep import repetitions, treecert
+from nonrep.repetitions import (Repetition, _match_mask, _match_table, _run_reaches, _violation_ends,
+                                 find_squares, is_power_free)
 from nonrep.treecert import (
     BranchCheckSpec,
     ConfigurationError,
@@ -391,20 +391,21 @@ def equal_length_words(draw):
 
 
 # the per-period hit masks the certificate hands to `_Packed.first`, from
-# the loops of is_power_free, find_squares and _scan_image_centers
+# the loops of is_power_free, find_squares and _scan_image_centers on a
+# match table of the packing
 
 
 def free_hits(spec):
-    return lambda pk: (ends for *_, ends in _violation_ends(pk.masks, pk.length, spec))
+    return lambda pk: (ends for *_, ends in _violation_ends(_match_table(pk.masks), pk.length, spec))
 
 
 def square_hits(lo, hi):
-    return lambda pk: (_run_reaches(_match_mask(pk.masks, p), p) for p in range(lo, hi + 1))
+    return lambda pk: (_run_reaches(eq(p), p) for eq in [_match_table(pk.masks)] for p in range(lo, hi + 1))
 
 
 def scan_hits(periods):
-    return lambda pk: (centers for p in periods
-                       for _, centers in _crossing_centers(pk.masks, pk.everywhere, p))
+    return lambda pk: (centers for eq in [_match_table(pk.masks)] for p in periods
+                       for _, centers in _crossing_centers(eq, p))
 
 
 def packed_flags(words, hits_of):
@@ -419,7 +420,7 @@ def packed_flags(words, hits_of):
         hits = 0
         for h in hit_masks:
             hits |= h
-        assert hits & ~packed.everywhere == 0
+        assert hits & ~_match_mask(packed.masks, 0) == 0
         block = (1 << packed.stride) - 1
         mine = [j for j in range(len(chunk)) if (hits >> (j * packed.stride)) & block]
         assert packed.first(iter(hit_masks)) == (mine[0] if mine else None)
@@ -476,6 +477,109 @@ def test_packed_pass_past_one_chunk_of_the_module_size():
     scan = packed_flags(words, scan_hits(periods))
     assert scan == [i for i, w in enumerate(words) if _scan_image_centers(w, periods) is not None]
     assert scan == planted
+
+
+# ---------------------------------------------------------------------------
+# the center scan's mirror pairs as shifted match masks
+
+
+def mirror_pair(masks, p, delta):
+    """The delta-th mirror-pair mask from the symbol masks, two shifts per
+    symbol: bit i set when img[i - p + delta] == img[i - delta]."""
+    pair = 0
+    for m in masks:
+        pair |= (m << delta) & (m << (p - delta))
+    return pair
+
+
+def reference_crossing_centers(masks, everywhere, p):
+    """The center scan with each mirror pair from the symbol masks
+    (`mirror_pair`): the reference for `_crossing_centers`."""
+    mirrors = [everywhere]
+    for delta in range(1, p + 1):
+        pair = mirror_pair(masks, p, delta) & mirrors[-1]
+        if not pair:
+            break
+        mirrors.append(pair)
+    top = len(mirrors) - 1
+    if not top:
+        return
+    eq = _match_mask(masks, p)
+    reach = _run_reaches(eq, p - top) if top < p else everywhere
+    for delta in range(top, 0, -1):
+        yield delta, mirrors[delta] & reach
+        reach &= eq << (p - delta)
+
+
+@st.composite
+def palindromic_packings(draw):
+    """The symbol masks and length L of 1-4 words of one length L in 1..40,
+    packed with gaps (`_Packed`), each word cut from random pieces and
+    palindromes so that mirror pairs agree far past p/2."""
+    alphabet = draw(st.sampled_from(["01", "012"]))
+    length = draw(st.integers(1, 40))
+    words = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = ""
+        while len(w) < length:
+            half = draw(st.text(alphabet, min_size=1, max_size=12))
+            if draw(st.booleans()):
+                w += half
+            else:
+                w += half + draw(st.sampled_from(["", *alphabet])) + half[::-1]
+        words.append(w[:length])
+    return _Packed(words).masks, length
+
+
+# palindromes, so every mirror pair of the last center agrees past p/2
+PALINDROMES = (_Packed(["0110110", "2011102", "0120210"]).masks, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(palindromic_packings())
+@example(PALINDROMES)
+def test_mirror_pairs_are_shifted_match_masks(packing):
+    # delta < p/2, 2 delta = p and delta > p/2 for every p <= L
+    masks, length = packing
+    for p in range(1, length + 1):
+        for delta in range(1, p + 1):
+            want = mirror_pair(masks, p, delta)
+            assert _match_mask(masks, abs(p - 2 * delta)) << min(delta, p - delta) == want, (p, delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(palindromic_packings())
+@example(PALINDROMES)
+def test_crossing_centers_match_the_symbol_mask_scan(packing):
+    masks, length = packing
+    everywhere = _match_mask(masks, 0)
+    eq = _match_table(masks)
+    for p in range(1, length + 1):
+        assert list(_crossing_centers(eq, p)) == list(reference_crossing_centers(masks, everywhere, p)), p
+
+
+@pytest.mark.parametrize("m, spec, factor_len", [(G2, G2_SPEC, 8), (G5, G5_SPEC, 9)], ids=["g2-fl8", "g5-fl9"])
+@pytest.mark.parametrize("per_chunk", [0, 10])
+def test_certify_computes_each_match_mask_once_per_chunk(m, spec, factor_len, per_chunk, monkeypatch):
+    # the freeness, square and center-scan passes of a chunk share one
+    # match table; per_chunk 10 packs the images into several chunks
+    calls = []
+    real = repetitions._match_mask
+
+    def spy(masks, q):
+        calls.append((masks, q))  # keeps masks alive, so ids stay distinct
+        return real(masks, q)
+
+    monkeypatch.setattr(repetitions, "_match_mask", spy)
+    length = factor_len * m.uniform_width
+    if per_chunk:
+        monkeypatch.setattr(treecert, "_PACK_BITS", 2 * length * per_chunk)
+    cert = certify_morphic_tree_coloring(m, spec, factor_len)
+    assert cert.passed
+    chunks = -(-cert.source_words // (per_chunk or treecert._PACK_BITS // (2 * length)))
+    keys = [(id(masks), q) for masks, q in calls]
+    assert len({id(masks) for masks, _ in calls}) == chunks
+    assert len(keys) == len(set(keys))
 
 
 @pytest.mark.parametrize("m", [G2, G5], ids=["g2", "g5"])
