@@ -85,9 +85,7 @@ def cmd_word(args) -> int:
 
 
 def cmd_morphism(args) -> int:
-    m = _morphism(args.morphism)
-    check_word(args.word, m.source_alphabet_size)
-    print(apply_morphism(m, args.word))
+    print(apply_morphism(_morphism(args.morphism), args.word))
     return 0
 
 

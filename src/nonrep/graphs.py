@@ -271,17 +271,13 @@ def leveled_outerplanar(levels: int, path_len: int) -> Graph:
 
 
 def check_3tree(g: Graph) -> int | None:
-    """None if reverse insertion order is a perfect elimination order with
-    later-neighborhoods forming cliques of size <= 3 (certifying treewidth <= 3);
-    otherwise the first failing vertex."""
-    if g.construction_log is None:
-        raise ValueError("construction log required")
-    order = [v for v, _ in g.construction_log]
-    if sorted(order) != list(range(g.n)):
-        raise ValueError("construction log does not cover all vertices")
-    rank = {v: idx for idx, v in enumerate(order)}
-    for v in reversed(order):
-        earlier = [u for u in g.adj[v] if rank[u] < rank[v]]
+    """None if decreasing vertex index is a perfect elimination order whose
+    earlier neighbourhoods are cliques of size <= 3 (certifying treewidth
+    <= 3); otherwise the first failing vertex.  Every stacked triangulation
+    numbers a vertex after the face it goes into, so this reads the
+    numbering, not the construction log."""
+    for v in range(g.n - 1, -1, -1):
+        earlier = [u for u in g.adj[v] if u < v]
         if len(earlier) > 3:
             return v
         for a in range(len(earlier)):
@@ -469,58 +465,6 @@ def _tail_square(seq, m: int, lo: int, hi: int) -> int | None:
     return None
 
 
-def _least_violation(g: Graph, colors, k: int, max_path: int, limit: int = 0):
-    """verify_coloring's answer by a lexicographic path DFS, or False if it
-    needs more than `limit` path extensions (limit 0: no budget).  Each
-    extension asks only whether a square ends at the new tail
-    (`_tail_square`)."""
-    pmax = max_path // 2
-    adjs = [sorted(a) for a in g.adj]
-    stop = limit + 1 if limit else 0  # 0: never reached, counts start at 1
-    visited_paths = 0
-    on_path = [False] * g.n
-    for start in range(g.n):
-        # an explicit stack of neighbour iterators, one per path vertex, so
-        # long paths do not recurse; unwinding it clears on_path again
-        path = [start]
-        seq = [colors[start]]
-        on_path[start] = True
-        nbrs = iter(adjs[start])
-        stack = [nbrs]
-        while True:
-            for u in nbrs:
-                if not on_path[u]:
-                    break
-            else:
-                on_path[path.pop()] = False
-                seq.pop()
-                stack.pop()
-                if not stack:
-                    break
-                nbrs = stack[-1]
-                continue
-            m = len(path)
-            path.append(u)
-            seq.append(colors[u])
-            on_path[u] = True
-            visited_paths += 1
-            if visited_paths == stop:
-                return False
-            hi = (m + 1) // 2  # the longest period of a square ending at m
-            if hi >= k:
-                p = _tail_square(seq, m, k, hi if hi < pmax else pmax)
-                if p is not None:
-                    return tuple(path), Repetition(m - 2 * p + 1, 2 * p, p)
-            if m + 1 < max_path:
-                nbrs = iter(adjs[u])
-                stack.append(nbrs)
-            else:
-                on_path[u] = False
-                path.pop()
-                seq.pop()
-    return None
-
-
 def _swept_square(g: Graph, colors, k: int, max_path: int) -> bool:
     """Does some path of at most max_path vertices read a color square of
     period >= k?  The sweep reveals the colors in decreasing vertex index and
@@ -556,10 +500,12 @@ def verify_coloring(
     with the (smallest-period) repetition ending at its last vertex.
 
     Exhaustive whenever max_path >= g.n.  None at once if max_path or g.n is
-    below 2k, where no square of period >= k fits; else three steps: (1) the
-    probe runs the lexicographic path DFS for g.n path extensions and returns
-    its verdict if it reaches one; (2) the sweep (`_swept_square`) decides;
-    (3) only on a violation, the DFS runs again without budget to name it.
+    below 2k, where no square of period >= k fits; else one lexicographic
+    path DFS, whose extensions each ask only whether a square ends at the new
+    tail (`_tail_square`), in two steps: (1) the probe, its first g.n
+    extensions, returns the verdict it reaches; (2) past them the sweep
+    (`_swept_square`) decides once, and on a violation the same DFS goes on
+    to name the least violating path.
     """
     if k < 1 or max_path < 1:
         raise ValueError("need k >= 1 and max_path >= 1")
@@ -568,7 +514,50 @@ def verify_coloring(
     if max_path < 2 * k or g.n < 2 * k:
         return None
     colors = coloring.colors
-    hit = _least_violation(g, colors, k, max_path, g.n)
-    if hit is not False:
-        return hit
-    return _least_violation(g, colors, k, max_path) if _swept_square(g, colors, k, max_path) else None
+    pmax = max_path // 2
+    adjs = [sorted(a) for a in g.adj]
+    stop = g.n + 1  # the first extension past the probe; 0 once swept
+    visited_paths = 0
+    on_path = [False] * g.n
+    for start in range(g.n):
+        # an explicit stack of neighbour iterators, one per path vertex, so
+        # long paths do not recurse; unwinding it clears on_path again
+        path = [start]
+        seq = [colors[start]]
+        on_path[start] = True
+        nbrs = iter(adjs[start])
+        stack = [nbrs]
+        while True:
+            for u in nbrs:
+                if not on_path[u]:
+                    break
+            else:
+                on_path[path.pop()] = False
+                seq.pop()
+                stack.pop()
+                if not stack:
+                    break
+                nbrs = stack[-1]
+                continue
+            m = len(path)
+            path.append(u)
+            seq.append(colors[u])
+            on_path[u] = True
+            visited_paths += 1
+            if visited_paths == stop:
+                if not _swept_square(g, colors, k, max_path):
+                    return None
+                stop = 0  # counts only grow: never reached again
+            hi = (m + 1) // 2  # the longest period of a square ending at m
+            if hi >= k:
+                p = _tail_square(seq, m, k, hi if hi < pmax else pmax)
+                if p is not None:
+                    return tuple(path), Repetition(m - 2 * p + 1, 2 * p, p)
+            if m + 1 < max_path:
+                nbrs = iter(adjs[u])
+                stack.append(nbrs)
+            else:
+                on_path[u] = False
+                path.pop()
+                seq.pop()
+    return None

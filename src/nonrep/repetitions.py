@@ -13,7 +13,9 @@ O(log r) big-int operations (Shift-And: Baeza-Yates & Gonnet, CACM 1992;
 Myers, JACM 1999).  The freeness check's per-period loop is the generator
 `_violation_ends`, which the tree certificate also runs over many images
 packed into one set of masks, reading them through a `_match_table`: one
-per chunk, shared by its freeness, square and center-scan passes.  The run
+per chunk, shared by its freeness, square and center-scan passes (its square
+pass is the freeness check at exponent 2).  `find_squares`, which lists
+every square, serves criteria 7 and 9a and the public API.  The run
 has two more forms, each beside its one caller: the free-word DFS
 (`words._free_words`) packs the runs at the tail of a growing word into
 fixed-width fields of one int, and the graph path DFS (`graphs._tail_square`)

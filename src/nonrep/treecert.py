@@ -16,9 +16,10 @@ square of period >= k, by combining four checks:
 3. threshold       -- periods p >= p* = ceil((d-1)/(2-beta)) crossing the
    palindrome center are impossible given checks 1 and 2;
 4. center scan     -- periods in [k, p*-1] crossing the center, and squares
-   of period in [k, n-1] inside images, are ruled out directly; in-image
-   squares of period >= n are ruled out by check 1 on the same image, since a
-   square has exponent 2 > beta.
+   of period in [k, n-1] inside images, are ruled out directly, the latter
+   as freeness at exponent 2 (so a failing image names its first square
+   without listing the rest); in-image squares of period >= n are ruled out
+   by check 1 on the same image, since a square has exponent 2 > beta.
 
 Checks 1 and 4 quantify over all images of threshold-free source words, which
 is an infinite family.  They are reduced to a finite enumeration through
@@ -56,7 +57,7 @@ from .words import (
     iter_powerfree_ternary,
 )
 from .repetitions import (PowerFreeSpec, Repetition, _match_table, _reversal_pair, _run_reaches,
-                          _symbol_masks, _violation_ends, find_squares, is_power_free)
+                          _symbol_masks, _violation_ends, is_power_free)
 from .graphs import Coloring, complete_tree
 
 
@@ -520,6 +521,7 @@ def certify_morphic_tree_coloring(
         )
 
     free_spec = spec.free_spec
+    squares = PowerFreeSpec(Fraction(2), min_period=k, strict=False)
     free_cx = square_cx = scan_cx = None
     dir_factors: set[str] = set()
     source_words = 0
@@ -539,15 +541,21 @@ def certify_morphic_tree_coloring(
             if j is not None:
                 free_cx = _image_cx(chunk[j], imgs[j], is_power_free(imgs[j], free_spec))
         if square_cx is None:
-            # a square has exponent 2 > beta, so an image that passed
-            # freeness has no square of period >= n; from the chunk of the
-            # first freeness failure on, every period up to length // 2 is
-            # checked (on images that passed, that finds the same squares)
+            # the in-image squares are freeness at exponent 2, and `squares`
+            # over 2 * hi + 1 symbols asks for periods k..hi.  A square has
+            # exponent 2 > beta, so an image that passed freeness has no
+            # square of period >= n; from the chunk of the first freeness
+            # failure on, every period up to length // 2 is checked (on
+            # images that passed, that finds the same squares).  Either way
+            # the flagged image has no square of period past hi, so
+            # `is_power_free` names its first square, by start and then
+            # period as `find_squares` sorts them, at the length of its run
             hi = clean_hi if free_cx is None else length // 2
-            j = packed.first(_run_reaches(eq(p), p) for p in range(k, hi + 1))
+            j = packed.first(ends for *_, ends in _violation_ends(eq, 2 * hi + 1, squares))
             if j is not None:
-                sq = find_squares(imgs[j], k, hi)
-                square_cx = _image_cx(chunk[j], imgs[j], sq[0] if sq else None)
+                run = is_power_free(imgs[j], squares)
+                square = run and Repetition(run.start, 2 * run.period, run.period)
+                square_cx = _image_cx(chunk[j], imgs[j], square)
         if scan_cx is None:
             j = packed.first(centers for p in scan_dyn for _, centers in _crossing_centers(eq, p))
             if j is not None:

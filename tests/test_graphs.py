@@ -10,8 +10,8 @@ from nonrep.acceptance import _naive_verify as _naive_least_violation
 from nonrep.graphs import (
     Coloring,
     Graph,
-    _least_violation,
     _square_through_vertex,
+    _swept_square,
     check_3tree,
     complete_tree,
     fan_witness,
@@ -63,13 +63,16 @@ def test_stacked_faces_are_triangles():
 
 def test_check_3tree_failure():
     k5 = Graph(0)
-    k5.construction_log = []
     for i in range(5):
-        # log a clique record even though the neighborhood is too large
-        k5.construction_log.append((k5.add_vertex(range(i)), tuple(range(i))))
-    assert check_3tree(k5) is not None
-    with pytest.raises(ValueError):
-        check_3tree(path_graph(3))  # no construction log
+        k5.add_vertex(range(i))
+    assert check_3tree(k5) == 4  # four earlier neighbours
+    # a path has treewidth 1; no construction log is needed
+    assert check_3tree(path_graph(3)) is None
+    # a 4-cycle numbered around: vertex 3's earlier neighbours 0 and 2 are
+    # not adjacent, so this order is no perfect elimination order
+    c4 = path_graph(4)
+    c4.add_edge(0, 3)
+    assert check_3tree(c4) == 3
 
 
 def test_outerplanar_U_examples():
@@ -420,29 +423,39 @@ def test_verify_coloring_short_paths():
         verify_coloring(path_graph(3), Coloring((0, 0, 0), 1), 1, 0)
 
 
-def test_verify_coloring_names_violation_past_the_probe():
-    # a clean verdict comes from the sweep once the probe runs out
-    g = path_graph(4)
-    coloring = Coloring((0, 1, 0, 2), 3)
-    assert _least_violation(g, coloring.colors, 1, 4, 1) is False
-    assert verify_coloring(g, coloring, 1, 4) is None
+def _spy(monkeypatch, name):
+    """Replace graphs.<name> by a wrapper that records each call's result;
+    returns the list of results."""
+    real = getattr(graphs, name)
+    results = []
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(graphs, name, spy)
+    return results
+
+
+def test_verify_coloring_names_violation_past_the_probe(monkeypatch):
+    # a clean verdict comes from the sweep once the probe runs out: P_4 has
+    # 12 path extensions, past the probe's 4
+    swept = _spy(monkeypatch, "_swept_square")
+    tails = _spy(monkeypatch, "_tail_square")
+    assert verify_coloring(path_graph(4), Coloring((0, 1, 0, 2), 3), 1, 4) is None
+    assert swept == [False] and len(tails) == 4
     # a square-free path 0..5 and, apart from it, an edge of one color: the
     # DFS spends 30 extensions on the path before it reaches the edge, past
-    # the probe's 8, so the sweep finds the square and a second run names it
+    # the probe's 8, so the sweep finds the square once and the same DFS goes
+    # on to name it, testing each of its 31 extensions once
+    swept.clear()
+    tails.clear()
     g = path_graph(6)
     g.add_vertex()
     g.add_vertex((6,))
     coloring = Coloring((0, 1, 0, 2, 0, 1, 2, 2), 3)
-    assert _least_violation(g, coloring.colors, 1, g.n, g.n) is False
     assert verify_coloring(g, coloring, 1, g.n) == ((6, 7), Repetition(0, 2, 1))
-
-
-def _disable_probe(mp):
-    """Make verify_coloring's budgeted probe reach no verdict, so that the
-    sweep decides every one; the unbudgeted DFS still names the path."""
-    dfs = graphs._least_violation
-    mp.setattr(graphs, "_least_violation",
-               lambda g, colors, k, max_path, limit=0: False if limit else dfs(g, colors, k, max_path))
+    assert swept == [True] and len(tails) == 31 and tails.count(None) == 30
 
 
 def _relabelled(g, coloring, perm):
@@ -464,10 +477,10 @@ def test_sweep_decides_like_the_naive_oracle_in_any_numbering(case, k, data):
     g, coloring = case
     max_path = data.draw(st.integers(2, g.n + 2))
     perm = data.draw(st.permutations(range(g.n)))
-    with pytest.MonkeyPatch.context() as mp:
-        _disable_probe(mp)
-        for h, c in ((g, coloring), _relabelled(g, coloring, perm)):
-            assert verify_coloring(h, c, k, max_path) == _naive_least_violation(h, c, k, max_path)
+    for h, c in ((g, coloring), _relabelled(g, coloring, perm)):
+        naive = _naive_least_violation(h, c, k, max_path)
+        assert _swept_square(h, c.colors, k, max_path) == (naive is not None)
+        assert verify_coloring(h, c, k, max_path) == naive
 
 
 def test_sweep_finds_a_square_at_the_last_vertex_revealed(monkeypatch):
@@ -484,9 +497,8 @@ def test_sweep_finds_a_square_at_the_last_vertex_revealed(monkeypatch):
         calls.append((v, pmax, kernel(g, colors, v, k, pmax, cands)))
         return calls[-1][2]
 
-    _disable_probe(monkeypatch)
     monkeypatch.setattr(graphs, "_square_through_vertex", spy)
-    assert verify_coloring(g, coloring, 1, 4) == ((0, 3, 2, 1), Repetition(0, 4, 2))
+    assert _swept_square(g, coloring.colors, 1, 4) is True
     # the period cap counts revealed vertices: 1, 2, 3, then 4
     assert calls == [(3, 0, set()), (2, 1, set()), (1, 1, set()), (0, 2, {1})]
 

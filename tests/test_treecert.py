@@ -3,7 +3,9 @@ validation of the center-crossing scan against a naive palindromic scan that
 compares slices of every branch word, and of the packed pass over many images
 against the per-image checks."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -11,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nonrep.words import (G2, G5, Morphism, PowerFreeSpec, apply_morphism, factors,
+from nonrep.words import (G2, G5, NAMED_MORPHISMS, Morphism, PowerFreeSpec, apply_morphism, factors,
                           generate_powerfree_ternary, iter_powerfree_ternary)
 from nonrep import repetitions, treecert
 from nonrep.repetitions import (Repetition, _match_mask, _match_table, _run_reaches, _violation_ends,
@@ -32,6 +34,7 @@ from nonrep.treecert import (
     directedness_threshold,
 )
 from nonrep.graphs import verify_coloring
+from test_cli import PINNED_CERTIFICATES
 
 G2_SPEC = BranchCheckSpec(2, PowerFreeSpec(Fraction(19, 10), min_period=2), 3)
 G5_SPEC = BranchCheckSpec(5, PowerFreeSpec(Fraction(83, 42), min_period=5), 20)
@@ -391,16 +394,17 @@ def equal_length_words(draw):
 
 
 # the per-period hit masks the certificate hands to `_Packed.first`, from
-# the loops of is_power_free, find_squares and _scan_image_centers on a
-# match table of the packing
+# the loops of is_power_free (freeness, and squares as freeness at exponent
+# 2) and _scan_image_centers on a match table of the packing
 
 
-def free_hits(spec):
-    return lambda pk: (ends for *_, ends in _violation_ends(_match_table(pk.masks), pk.length, spec))
+def free_hits(spec, n=None):
+    return lambda pk: (ends for *_, ends in _violation_ends(_match_table(pk.masks), n or pk.length, spec))
 
 
 def square_hits(lo, hi):
-    return lambda pk: (_run_reaches(eq(p), p) for eq in [_match_table(pk.masks)] for p in range(lo, hi + 1))
+    # over 2 * hi + 1 symbols, squares of period lo..hi
+    return free_hits(PowerFreeSpec(Fraction(2), min_period=lo, strict=False), 2 * hi + 1)
 
 
 def scan_hits(periods):
@@ -643,6 +647,71 @@ def test_failing_certificates_pinned(args, name, want):
         rep = got["repetition"]
         got["repetition"] = (rep["start"], rep["length"], rep["period"])
     assert got == want
+
+
+RANDOM_BETAS = [Fraction(3, 2), Fraction(7, 4), Fraction(9, 5), Fraction(19, 10), Fraction(83, 42)]
+
+
+def random_certificate_cases(rng, count):
+    """count (morphism, spec, factor_len) drawn from rng: 3 binary or ternary
+    images of width 1-6, k and d in 1-4, n in 1-6, and factor_len 2-7 on
+    about 80 % of them, None (the least admissible) on the rest."""
+    for _ in range(count):
+        width = rng.randint(1, 6)
+        alphabet = rng.choice(("01", "012"))
+        images = tuple("".join(rng.choice(alphabet) for _ in range(width)) for _ in range(3))
+        k, d, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 6)
+        beta = rng.choice(RANDOM_BETAS)
+        factor_len = rng.randint(2, 7) if rng.random() < 0.8 else None
+        yield Morphism(images), BranchCheckSpec(k, PowerFreeSpec(beta, min_period=n), d), factor_len
+
+
+def test_random_table_certificates_pinned():
+    # 400 seeded random tables, mostly failing or misconfigured: 273 failing
+    # certificates (75 of them name an in-image square) and 127 configuration
+    # errors, many on the best-effort path.  The sha256 of every certificate's
+    # JSON or error message pins their bytes
+    digest = hashlib.sha256()
+    for m, spec, factor_len in random_certificate_cases(random.Random(2026), 400):
+        try:
+            text = certify_morphic_tree_coloring(m, spec, factor_len, morphism_name="random").to_json()
+        except ConfigurationError as exc:
+            text = "error: " + str(exc)
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == "f716a86af68678f4de8f4c191f4e67467d743060857d3e7113cddd183333a37c"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_certificate_square_is_the_first_square_of_its_image(rng):
+    # an in-image square counterexample is the first square, by start and
+    # then period, that find_squares lists for its image
+    m, spec, factor_len = next(random_certificate_cases(rng, 1))
+    try:
+        cert = certify_morphic_tree_coloring(m, spec, factor_len)
+    except ConfigurationError:
+        return
+    cx = cert.checks[3].counterexample
+    if cx is not None and "center" not in cx:
+        first = find_squares(cx["image"], spec.k, len(cx["image"]) // 2)[0]
+        rep = cx["repetition"]
+        assert (rep["start"], rep["length"], rep["period"]) == (first.start, first.length, first.period)
+
+
+def test_certificate_never_lists_squares(monkeypatch):
+    # the certificate names its square through the freeness check, so none
+    # of the benchmark's certificates calls find_squares
+    def refuse(*args):
+        raise AssertionError("find_squares called")
+
+    monkeypatch.setattr(repetitions, "find_squares", refuse)
+    assert not hasattr(treecert, "find_squares")
+    for _, morphism, k, beta, n, d, factor_len, _ in PINNED_CERTIFICATES:
+        spec = BranchCheckSpec(k, PowerFreeSpec(Fraction(beta), min_period=n), d)
+        try:
+            certify_morphic_tree_coloring(NAMED_MORPHISMS[morphism], spec, factor_len)
+        except ConfigurationError:
+            pass
 
 
 # ---------------------------------------------------------------------------
