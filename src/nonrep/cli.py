@@ -58,9 +58,22 @@ def _morphism(name: str) -> Morphism:
 
 
 def _default_budget() -> SearchBudget:
-    nodes = int(os.environ.get("NONREP_NODE_LIMIT", 10_000_000))
-    secs = float(os.environ.get("NONREP_TIME_LIMIT", 300))
-    return SearchBudget(node_limit=nodes, time_limit=secs)
+    """The search budget, with each field an environment variable sets; an
+    invalid value is refused naming its variable."""
+    fields = {}
+    for name, field, parse in (
+        ("NONREP_NODE_LIMIT", "node_limit", int),
+        ("NONREP_TIME_LIMIT", "time_limit", float),
+    ):
+        text = os.environ.get(name)
+        if text is None:
+            continue
+        try:
+            fields[field] = parse(text)
+            SearchBudget(**{field: fields[field]})  # checks this field alone
+        except ValueError as exc:
+            raise ValueError(f"{name}={text!r}: {exc}") from None
+    return SearchBudget(**fields)
 
 
 def cmd_word(args) -> int:

@@ -68,7 +68,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(map(len, self.adj)) // 2
 
     def to_json_dict(self) -> dict:
         d: dict = {"n": self.n, "edges": [list(e) for e in self.edges()]}

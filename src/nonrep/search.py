@@ -29,6 +29,18 @@ class SearchBudget:
 
 _MAX_COLORS = 16  # the largest palette pi_k_exact tries
 
+# pi_k_exact's short forward-checking pass covers periods k .. k + _SHORT_SPAN.
+# At each of the 230 dead ends of the benchmark's node-budgeted U_4, G_2 and
+# leveled 2x4 searches, every candidate colour closes a square of period at
+# most k + 2 (dead ends by their longest such period, from k up: U_4 at
+# k = 1 18, 42; at k = 2 57, 2; G_2 at k = 1 3, 3, 1; at k = 2 41; leveled
+# 2x4 2, 22, 39), so the short pass alone decides them.  The cycle C_17
+# needs up to k + 7.  On paths and trees the split only adds a walk (paths
+# of the benchmark +17 %, random trees of 12-24 vertices +17 % at k = 1 and
+# +31 % at k = 2, 2-core host), so graphs with at most as many edges as
+# vertices keep the single walk
+_SHORT_SPAN = 2
+
 
 @dataclass
 class PiResult:
@@ -53,13 +65,30 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
     forward checking (on entering a vertex, one walk over the paths through it
     decides which of its candidate colors close a square) and symmetry
     breaking: vertex 0 gets color 0, and color c+1 may appear only once
-    color c has.  The witness is checked by the verifier's sweep alone."""
+    color c has.  The witness is checked by the verifier's sweep alone.
+
+    On a graph with more edges than vertices, where a vertex v can have
+    squares longer than k + 2 ((v + 1) // 2 > k + 2), the forward check
+    first walks periods k .. k + 2 only, and walks the periods above that
+    only for the candidates the short walk left undecided.  A candidate has
+    a square of period <= k + 2 exactly when the short walk decides it, so
+    the two walks' union is the single walk's bad set, and the search tree,
+    node counts and bounds are unchanged.  Dead ends of planar searches
+    mostly close short squares, so the short walk alone settles them; graphs
+    with at most as many edges as vertices (paths, trees, cycles) keep the
+    single walk."""
     if k < 1:
         raise ValueError("need k >= 1")
     if g.n == 0:
         return PiResult(0, 0, Coloring((), 1), False)
     deadline = time.monotonic() + budget.time_limit
     nodes = 0
+    # from vertex split_from on, (v + 1) // 2 > short; the edges are counted
+    # only when some vertex reaches it
+    short = k + _SHORT_SPAN
+    split_from = 2 * short + 1
+    if split_from < g.n and g.edge_count <= g.n:
+        split_from = g.n
 
     def solve(ncolors: int) -> Coloring | bool | None:
         """Coloring if one exists, False if provably none, None on budget."""
@@ -87,7 +116,13 @@ def pi_k_exact(g: Graph, k: int, budget: SearchBudget = SearchBudget()) -> PiRes
             if nodes > budget.node_limit or time.monotonic() > deadline:
                 return None
             if c == 0:  # vertices 0..v-1 are colored
-                bad[v] = _square_through_vertex(g, colors, v, k, (v + 1) // 2, range(top))
+                if v < split_from:
+                    bad[v] = _square_through_vertex(g, colors, v, k, (v + 1) // 2, range(top))
+                else:
+                    bad[v] = _square_through_vertex(g, colors, v, k, short, range(top))
+                    if len(bad[v]) < top:
+                        rest = set(range(top)) - bad[v]
+                        bad[v] |= _square_through_vertex(g, colors, v, short + 1, (v + 1) // 2, rest)
             if c not in bad[v]:
                 colors[v] = c
                 used[v + 1] = max(used[v], c + 1)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -268,6 +269,14 @@ def test_past_budget_exit_2(capsys, argv, message):
     assert rc == 2 and out == "" and err.startswith("error: ") and message in err
 
 
+def test_treecert_width_past_budget_exit_2(capsys, tmp_path):
+    f = tmp_path / "wide.txt"
+    f.write_text("".join(f"{s} -> {str(s % 2) * 10_001}\n" for s in range(3)))
+    rc = main(["treecert", "certify", "--morphism", str(f), "--k", "1", "--beta", "19/10", "--n", "1", "--d", "2"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and err == "error: width 10001: past the budget of 10000\n"
+
+
 def test_graph_verify(capsys, tmp_path):
     f = tmp_path / "p4.json"
     main(["graph", "gen", "--family", "path", "--n", "4", "--out", str(f)])
@@ -392,9 +401,20 @@ def test_search_word(capsys):
     assert rc == 1 and "010" in out
 
 
-def test_search_nan_time_limit_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("NONREP_TIME_LIMIT", "nan")  # nan <= 0 is False: no deadline
-    assert_usage_error(capsys, ["search", "pik", "--n", "4", "--k", "1"])
+@pytest.mark.parametrize("name, value, message", [
+    ("NONREP_NODE_LIMIT", "abc", "invalid literal for int()"),
+    ("NONREP_NODE_LIMIT", "0", "budget fields must be positive"),
+    ("NONREP_TIME_LIMIT", "x", "could not convert string to float"),
+    ("NONREP_TIME_LIMIT", "nan", "budget fields must be positive"),  # nan <= 0 is False: no deadline
+], ids=["node-abc", "node-0", "time-x", "time-nan"])
+def test_search_bad_budget_variable_exit_2(capsys, monkeypatch, name, value, message):
+    # the error names the variable and the value it holds
+    monkeypatch.setenv(name, value)
+    for argv in (["search", "pik", "--n", "4", "--k", "1"],
+                 ["search", "word", "--alphabet", "2", "--k", "1", "--target", "4"]):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and err.startswith(f"error: {name}={value!r}: {message}")
 
 
 def test_search_word_alphabet_past_ten_exit_2(capsys):
@@ -491,15 +511,15 @@ EDGE_WORDS = st.text("0123", max_size=8) | st.text("0123a\uff10", max_size=8)
 
 # per subcommand, its flags and the values each takes; `suite run` always
 # names a criterion that does not exist, so no argv runs the suite.  A d of
-# 10^7, a beta of denominator 10^6 and the HUGE graph file are past a budget
-# and must exit 2 at once
+# 10^7, a beta of denominator 10^6, the WIDE morphism file and the HUGE graph
+# file are past a budget and must exit 2 at once
 GRAMMAR = {
     ("word", "gen"): {"--length": EDGE_INTS},
     ("word", "check-free"): {"--beta": EDGE_RATIONALS, "--n": EDGE_INTS, "--strict": None, "word": EDGE_WORDS},
     ("word", "check-directed"): {"--d": EDGE_INTS, "word": EDGE_WORDS},
     ("morphism", "apply"): {"--morphism": st.sampled_from(["g2", "g5", "nosuch", ""]), "word": EDGE_WORDS},
     ("treecert", "certify"): {
-        "--morphism": st.sampled_from(["g2", "g5", "nosuch"]), "--k": EDGE_INTS,
+        "--morphism": st.sampled_from(["g2", "g5", "nosuch", "WIDE"]), "--k": EDGE_INTS,
         "--beta": EDGE_RATIONALS | st.just("1999999/1000000"),
         "--n": EDGE_INTS, "--d": EDGE_INTS | st.just("10000000"),
         "--factor-len": EDGE_INTS | st.sampled_from(["8", "12"]),
@@ -544,14 +564,17 @@ def cli_argv(draw):
 
 
 @pytest.fixture(scope="module")
-def graph_files(tmp_path_factory):
+def input_files(tmp_path_factory):
     # HUGE is past the vertex budget: unrefused, `search pik` on it runs for
     # minutes, though its adjacency sets still fit in memory.  DEEP nests
-    # deeper than the json parser recurses
+    # deeper than the json parser recurses.  WIDE is a morphism table past the
+    # width budget, whose structure analysis alone would take about 10 s
+    width = 60_000
     texts = {
         "GRAPH": json.dumps(stacked_triangulation(1).to_json_dict()),
         "HUGE": json.dumps({"n": 10**6, "edges": []}),
         "DEEP": "[" * 200_000,
+        "WIDE": "".join(f"{s} -> {random.Random(s).getrandbits(width):0{width}b}\n" for s in range(3)),
     }
     root = tmp_path_factory.mktemp("fuzz")
     for name, text in texts.items():
@@ -570,8 +593,8 @@ def _overtime(signum, frame):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=cli_argv())
-def test_cli_fuzz_exit_codes(argv, graph_files, capsys):
-    argv = [graph_files.get(a, a) for a in argv]
+def test_cli_fuzz_exit_codes(argv, input_files, capsys):
+    argv = [input_files.get(a, a) for a in argv]
     previous = signal.signal(signal.SIGALRM, _overtime)
     signal.setitimer(signal.ITIMER_REAL, FUZZ_DEADLINE_S)
     try:

@@ -11,6 +11,7 @@ from nonrep.acceptance import _rooted_trees
 from nonrep.graphs import (
     Coloring,
     Graph,
+    complete_tree,
     leveled_outerplanar,
     outerplanar_U,
     path_graph,
@@ -221,6 +222,67 @@ def test_pi_k_exact_sweeps_its_clean_witness(monkeypatch):
     assert swept == list(range(g.n - 1, -1, -1))
 
 
+def _kernel_calls(monkeypatch, g, k, budget=SearchBudget()):
+    """Each kernel call pi_k_exact makes: (v, k, pmax, candidates, bad set,
+    the colours it was called on)."""
+    from nonrep import graphs, search
+
+    calls = []
+
+    def spy(g_, colors, v, k_, pmax, cands):
+        snapshot = list(colors)
+        bad = graphs._square_through_vertex(g_, colors, v, k_, pmax, cands)
+        calls.append((v, k_, pmax, set(cands), bad, snapshot))
+        return bad
+
+    monkeypatch.setattr(search, "_square_through_vertex", spy)
+    search.pi_k_exact(g, k, budget)
+    return calls
+
+
+def test_short_pass_keeps_the_bad_sets(monkeypatch):
+    # on a branching graph the forward check walks periods k .. k + 2 first
+    # and the rest only for undecided candidates: per vertex entry, the two
+    # walks' union is one walk over every period up to (v + 1) // 2
+    from nonrep import graphs
+
+    g, k = stacked_triangulation(2), 1
+    calls = _kernel_calls(monkeypatch, g, k, SearchBudget(node_limit=120))
+    entries = []
+    for call in calls:
+        if call[1] == k:
+            entries.append([call])
+        else:
+            entries[-1].append(call)
+    short_dead_ends = 0
+    for entry in entries:
+        v, _, pmax, cands, bad, colors = entry[0]
+        cap = (v + 1) // 2
+        want = graphs._square_through_vertex(g, list(colors), v, k, cap, cands)
+        if cap <= k + 2:
+            assert len(entry) == 1 and pmax == cap
+        else:
+            assert pmax == k + 2
+            if bad == cands:
+                assert len(entry) == 1  # decided by the short walk alone
+                short_dead_ends += 1
+            else:
+                (_, k2, pmax2, cands2, bad2, colors2), = entry[1:]
+                assert (k2, pmax2, cands2, colors2) == (k + 3, cap, cands - bad, colors)
+                bad = bad | bad2
+        assert bad == want
+    assert short_dead_ends >= 1
+
+
+@pytest.mark.parametrize("g, k", [(path_graph(20), 3), (complete_tree(3, 2), 1)],
+                         ids=["path20-k3", "tree15-k1"])
+def test_sparse_graphs_walk_once_per_entry(monkeypatch, g, k):
+    # at most as many edges as vertices: one walk up to the full cap
+    calls = _kernel_calls(monkeypatch, g, k)
+    assert calls and all(k_ == k and pmax == (v + 1) // 2 for v, k_, pmax, *_ in calls)
+    assert any((v + 1) // 2 > k + 2 for v, *_ in calls)
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(node_limit=0)
@@ -254,6 +316,9 @@ _PINNED_PI = [
     ("G1", 2, None, (4, 4, False, 316, (0, 1, 2, 3, 0, 0, 0, 0))),
     ("U3", 1, None, (5, 5, False, 256, (0, 1, 2, 0, 3, 0, 1, 0, 4))),
     ("U3", 2, None, (3, 3, False, 56, (0, 0, 0, 1, 2, 0, 1, 1, 1))),
+    # two full searches whose dead ends the short forward-checking pass decides
+    ("G2", 1, None, (6, 6, False, 252, (0, 1, 2, 3, 3, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5))),
+    ("U4", 2, None, (4, 4, False, 16534, (0, 0, 0, 1, 2, 0, 1, 1, 1, 3, 0, 3, 3, 3, 2, 0, 3))),
 ]
 _PINNED_GRAPHS = {
     "U3": lambda: outerplanar_U(3),

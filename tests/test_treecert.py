@@ -284,6 +284,25 @@ def test_certify_factor_len_too_small():
     assert cert.passed
 
 
+def test_certify_refuses_a_table_past_the_width_budget(monkeypatch):
+    # refused before the quadratic structure analysis runs; the widest
+    # admitted table reaches it
+    class Analysed(Exception):
+        pass
+
+    def analysed(m):
+        raise Analysed
+
+    monkeypatch.setattr(treecert, "analyze_morphism_structure", analysed)
+    spec = BranchCheckSpec(1, PowerFreeSpec(Fraction(19, 10), min_period=1), 2)
+    width = treecert._MAX_WIDTH
+    assert width == 10_000
+    with pytest.raises(Analysed):
+        certify_morphic_tree_coloring(Morphism(("01" * (width // 2),) * 3), spec)
+    with pytest.raises(ConfigurationError, match="width 10001: past the budget of 10000"):
+        certify_morphic_tree_coloring(Morphism(("0" * (width + 1),) * 3), spec)
+
+
 @pytest.mark.parametrize("m", [G2, G5], ids=["g2", "g5"])
 def test_crossing_periods_are_those_the_run_bound_leaves_open(m, monkeypatch):
     # the certificate checks directly exactly the periods in [k, p*) whose
