@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import G2, G5, Morphism, apply_morphism, generate_powerfree_ternary
-from .repetitions import PowerFreeSpec, Repetition, find_squares
+from .repetitions import PowerFreeSpec, Repetition, _square_pairs, find_squares
 from .treecert import BranchCheckSpec, build_level_tree, certify_morphic_tree_coloring
 from .graphs import (
     Coloring,
@@ -264,16 +264,16 @@ _C9A_MAX_LEN = 14
 
 
 def criterion_9a_words() -> bool:
-    """find_squares returns, in its (start, period) order, exactly the
-    squares found by slice compares at each end index, on every ternary word
-    of length 2.._C9A_MAX_LEN.  One walk grows the words a symbol at a time:
-    appending at end index e adds the squares (e - 2p + 1, p) whose two
-    halves x[e-2p+1 : e-p+1] and x[e-p+1 : e+1] are equal, so a word's
-    squares are its prefix's plus those."""
+    """find_squares' kernel `_square_pairs` returns, in its (start, period)
+    order, exactly the squares found by slice compares at each end index, on
+    every ternary word of length 2.._C9A_MAX_LEN.  One walk grows the words
+    a symbol at a time: appending at end index e adds the squares
+    (e - 2p + 1, p) whose two halves x[e-2p+1 : e-p+1] and x[e-p+1 : e+1]
+    are equal, so a word's squares are its prefix's plus those."""
 
     def walk(x: str, squares: list[tuple[int, int]]) -> bool:
         n = len(x)
-        if n >= 2 and [(r.start, r.period) for r in find_squares(x, 1, n // 2)] != sorted(squares):
+        if n >= 2 and _square_pairs(x, 1, n // 2) != sorted(squares):
             return False
         if n == _C9A_MAX_LEN:
             return True
@@ -288,35 +288,34 @@ def criterion_9a_words() -> bool:
     return walk("", [])
 
 
-def _naive_verify(g: Graph, coloring: Coloring, k: int, max_path: int):
-    """Independent re-implementation of verify_coloring: same exploration
-    order, but each path tail is re-scanned from scratch with slice compares."""
-    colors = coloring.colors
+def _naive_verify(adjs: list[list[int]], colors, k: int, max_path: int):
+    """Independent re-implementation of verify_coloring, on the graph's
+    sorted neighbour lists adjs: same exploration order, but each path tail
+    is re-scanned from scratch with slice compares."""
     path: list[int] = []
-    on_path = [False] * g.n
+    seq: list[int] = []
+    on_path = [False] * len(adjs)
 
     def rec(v):
         path.append(v)
+        seq.append(colors[v])
         on_path[v] = True
-        try:
-            seq = [colors[u] for u in path]
-            m = len(seq)
-            if m >= 2:
-                for p in range(k, m // 2 + 1):
-                    if seq[m - 2 * p : m - p] == seq[m - p :]:
-                        return tuple(path), Repetition(m - 2 * p, 2 * p, p)
-            if len(path) < max_path:
-                for u in sorted(g.adj[v]):
-                    if not on_path[u]:
-                        res = rec(u)
-                        if res is not None:
-                            return res
-            return None
-        finally:
-            on_path[v] = False
-            path.pop()
+        m = len(seq)
+        for p in range(k, m // 2 + 1):
+            if seq[m - 2 * p : m - p] == seq[m - p :]:
+                return tuple(path), Repetition(m - 2 * p, 2 * p, p)
+        if m < max_path:
+            for u in adjs[v]:
+                if not on_path[u]:
+                    res = rec(u)
+                    if res is not None:
+                        return res
+        on_path[v] = False
+        path.pop()
+        seq.pop()
+        return None
 
-    for start in range(g.n):
+    for start in range(len(adjs)):
         res = rec(start)
         if res is not None:
             return res
@@ -348,11 +347,10 @@ def criterion_9b_graphs(max_vertices: int = 7) -> bool:
         g = Graph(n)
         for u, v in ng.edges():
             g.add_edge(u, v)
+        adjs = [sorted(a) for a in g.adj]
         for mask in range(2 ** n):
             coloring = Coloring(tuple((mask >> v) & 1 for v in range(n)), 2)
-            a = verify_coloring(g, coloring, 1, n)
-            b = _naive_verify(g, coloring, 1, n)
-            if a != b:
+            if verify_coloring(g, coloring, 1, n) != _naive_verify(adjs, coloring.colors, 1, n):
                 return False
     return True
 

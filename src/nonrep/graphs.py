@@ -129,9 +129,9 @@ class Coloring:
     color_count: int
 
     def __post_init__(self):
-        for c in self.colors:
-            if not 0 <= c < self.color_count:
-                raise ValueError(f"color {c} out of range")
+        if self.colors and not (0 <= min(self.colors) and max(self.colors) < self.color_count):
+            c = next(c for c in self.colors if not 0 <= c < self.color_count)
+            raise ValueError(f"color {c} out of range")
 
 
 _MAX_VERTICES = 200_000
@@ -505,7 +505,8 @@ def verify_coloring(
     tail (`_tail_square`), in two steps: (1) the probe, its first g.n
     extensions, returns the verdict it reaches; (2) past them the sweep
     (`_swept_square`) decides once, and on a violation the same DFS goes on
-    to name the least violating path.
+    to name the least violating path.  A vertex's neighbours are sorted when
+    the DFS first expands it, so a square met early costs a few sorts.
     """
     if k < 1 or max_path < 1:
         raise ValueError("need k >= 1 and max_path >= 1")
@@ -515,7 +516,7 @@ def verify_coloring(
         return None
     colors = coloring.colors
     pmax = max_path // 2
-    adjs = [sorted(a) for a in g.adj]
+    adjs: list[list[int] | None] = [None] * g.n  # g.adj[u], sorted when first expanded
     stop = g.n + 1  # the first extension past the probe; 0 once swept
     visited_paths = 0
     on_path = [False] * g.n
@@ -525,6 +526,8 @@ def verify_coloring(
         path = [start]
         seq = [colors[start]]
         on_path[start] = True
+        if adjs[start] is None:
+            adjs[start] = sorted(g.adj[start])
         nbrs = iter(adjs[start])
         stack = [nbrs]
         while True:
@@ -554,6 +557,8 @@ def verify_coloring(
                 if p is not None:
                     return tuple(path), Repetition(m - 2 * p + 1, 2 * p, p)
             if m + 1 < max_path:
+                if adjs[u] is None:
+                    adjs[u] = sorted(g.adj[u])
                 nbrs = iter(adjs[u])
                 stack.append(nbrs)
             else:

@@ -14,12 +14,13 @@ Myers, JACM 1999).  The freeness check's per-period loop is the generator
 `_violation_ends`, which the tree certificate also runs over many images
 packed into one set of masks, reading them through a `_match_table`: one
 per chunk, shared by its freeness, square and center-scan passes (its square
-pass is the freeness check at exponent 2).  `find_squares`, which lists
-every square, serves criteria 7 and 9a and the public API.  The run
-has two more forms, each beside its one caller: the free-word DFS
-(`words._free_words`) packs the runs at the tail of a growing word into
-fixed-width fields of one int, and the graph path DFS (`graphs._tail_square`)
-counts the run at its tail one period at a time.
+pass is the freeness check at exponent 2).  `find_squares` lists every
+square for criterion 7 and the public API from its kernel `_square_pairs`,
+whose (start, period) pairs criterion 9a checks.  The run has two more
+forms, each beside its one caller: the free-word DFS (`words._free_words`)
+packs the runs at the tail of a growing word into fixed-width fields of one
+int, and the graph path DFS (`graphs._tail_square`) counts the run at its
+tail one period at a time.
 
 The oracle tests pin every form against slice comparisons.
 """
@@ -127,9 +128,15 @@ def _run_reaches(eq: int, r: int) -> int:
 
 def find_squares(w: str, min_period: int, max_period: int) -> list[Repetition]:
     """All square occurrences in w with period in [min_period, max_period],
-    sorted by (start, period); each period is asked for once, so no table."""
+    sorted by (start, period)."""
     if not 1 <= min_period <= max_period:
         raise ValueError("need 1 <= min_period <= max_period")
+    return [Repetition(start, 2 * p, p) for start, p in _square_pairs(w, min_period, max_period)]
+
+
+def _square_pairs(w: str, min_period: int, max_period: int) -> list[tuple[int, int]]:
+    """find_squares as sorted (start, period) pairs, for callers that need
+    no `Repetition`; each period is asked for once, so no table."""
     masks = _symbol_masks(w)
     hits = []
     for p in range(min_period, min(max_period, len(w) // 2) + 1):
@@ -140,7 +147,7 @@ def find_squares(w: str, min_period: int, max_period: int) -> list[Repetition]:
             hits.append((low.bit_length() - 2 * p, p))
             ends ^= low
     hits.sort()
-    return [Repetition(start, 2 * p, p) for start, p in hits]
+    return hits
 
 
 def _violation_ends(eq, n: int, spec: PowerFreeSpec):

@@ -413,7 +413,8 @@ class Certificate:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
+        # shallow copies of the fields, not asdict's recursive deep copy
+        doc = {**vars(self), "checks": [{**vars(c)} for c in self.checks]}
         doc["morphism"] = doc.pop("morphism_name")
         return {**doc, "beta": _fmt_frac(self.beta), "passed": self.passed}
 
@@ -438,11 +439,19 @@ _MAX_BETA_DENOMINATOR = 10_000
 # 10.6 s at 60 000 (2-core host)
 _MAX_WIDTH = 10_000
 
+# the packed passes take about quadratic time in the image length factor_len *
+# width: on random binary tables (k 1, n 1, d 2, beta 19/10) 2.2 s and 174 MB at
+# 48 000 symbols, 3.1 s and 262 MB at 60 000, 5.8 s and 450 MB at 80 000 (2-core host)
+_MAX_IMAGE_LEN = 50_000
 
-def _check_factor_len_budget(factor_len: int, implied: bool) -> None:
+
+def _check_factor_len_budget(factor_len: int, width: int, implied: bool) -> None:
+    what = "these parameters need factor_len >=" if implied else "factor_len"
     if factor_len > _MAX_FACTOR_LEN:
-        what = "these parameters need factor_len >=" if implied else "factor_len"
         raise ConfigurationError(f"{what} {factor_len}: past the budget of {_MAX_FACTOR_LEN}")
+    if factor_len * width > _MAX_IMAGE_LEN:
+        images = f"images of {factor_len * width} symbols"
+        raise ConfigurationError(f"{what} {factor_len}: {images}, past the budget of {_MAX_IMAGE_LEN}")
 
 
 def certify_morphic_tree_coloring(
@@ -458,21 +467,22 @@ def certify_morphic_tree_coloring(
     Raises ConfigurationError (with the minimal admissible value) when
     factor_len is too small for the enumeration to cover every period the
     structural bounds leave open, and when the given or implied factor_len
-    is past _MAX_FACTOR_LEN.  Before the morphism's structure is analysed
-    it refuses a table wider than _MAX_WIDTH, and before any period walk a beta
-    whose denominator is past _MAX_BETA_DENOMINATOR and a d whose image
-    windows alone imply a factor_len past that budget, so neither walk can
-    run long.  When the morphism table admits no
-    structural run bounds at all, the enumeration still runs over every
-    period the window can exhibit: a violation found that way is a sound
-    failure verdict, but a clean sweep is inconclusive and raises."""
+    is past _MAX_FACTOR_LEN or makes images longer than _MAX_IMAGE_LEN.
+    Before the morphism's structure is analysed it refuses a table wider than
+    _MAX_WIDTH, a beta whose denominator is past _MAX_BETA_DENOMINATOR, a
+    given factor_len past those budgets and a d whose image windows alone imply
+    one, so neither the analysis nor a period walk can run long.  When the
+    morphism table admits no structural run bounds at all, the enumeration
+    still runs over every period the window can exhibit: a violation found that
+    way is a sound failure verdict, but a clean sweep is inconclusive and raises."""
     k, d = spec.k, spec.directed_d
     beta = Fraction(spec.free_spec.exponent_bound)
     n = spec.free_spec.min_period
+    width = m.uniform_width
     if m.source_alphabet_size != 3:
         raise ConfigurationError("source alphabet must be ternary")
-    if m.uniform_width > _MAX_WIDTH:
-        raise ConfigurationError(f"width {m.uniform_width}: past the budget of {_MAX_WIDTH}")
+    if width > _MAX_WIDTH:
+        raise ConfigurationError(f"width {width}: past the budget of {_MAX_WIDTH}")
     if not 1 < beta < 2:
         raise ConfigurationError("need 1 < beta < 2")
     if beta.denominator > _MAX_BETA_DENOMINATOR:
@@ -482,14 +492,13 @@ def certify_morphic_tree_coloring(
     if factor_len is not None and factor_len < 2:
         raise ConfigurationError("need factor_len >= 2", min_factor_len=2)
 
-    st = analyze_morphism_structure(m)
-    width = st.width
     # every image window of d symbols must be covered, and the period walks
-    # below take about d steps: decide the budget from d before them, given
-    # factor_len or not
+    # below take about d steps: decide the budget from d and the width
+    # before the analysis and the walks, given factor_len or not
     if factor_len is not None:
-        _check_factor_len_budget(factor_len, implied=False)
-    _check_factor_len_budget(ceil(Fraction(d, width)) + 1, implied=True)
+        _check_factor_len_budget(factor_len, width, implied=False)
+    _check_factor_len_budget(ceil(Fraction(d, width)) + 1, width, implied=True)
+    st = analyze_morphism_structure(m)
     p_star = directedness_threshold(beta, d)
     free_len = spec.free_spec.violation_length
 
@@ -519,7 +528,7 @@ def certify_morphic_tree_coloring(
     )
     if factor_len is None:
         factor_len = ceil(Fraction(need, width)) + 1
-        _check_factor_len_budget(factor_len, implied=True)
+        _check_factor_len_budget(factor_len, width, implied=True)
     covered = (factor_len - 1) * width
     if bounds_error is None and covered < need:
         min_fl = ceil(Fraction(need, width)) + 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .repetitions import PowerFreeSpec
@@ -61,6 +62,11 @@ class Morphism:
     def uniform_width(self) -> int:
         return len(self.images[0])
 
+    @cached_property
+    def _table(self) -> dict[int, str]:
+        """The `str.translate` table sending each source digit to its image."""
+        return str.maketrans(dict(zip(_DIGITS, self.images)))
+
     @classmethod
     def from_text(cls, text: str) -> "Morphism":
         images = []
@@ -77,13 +83,11 @@ class Morphism:
 
 def apply_morphism(m: Morphism, w: str) -> str:
     """Concatenation of the images of the symbols of w, in order."""
-    out = []
-    for ch in w:
-        s = _DIGITS.find(ch)  # -1 for anything but an ASCII digit
-        if not 0 <= s < m.source_alphabet_size:
-            raise ValueError(f"symbol {ch!r} not in source alphabet of size {m.source_alphabet_size}")
-        out.append(m.images[s])
-    return "".join(out)
+    alphabet = _DIGITS[: m.source_alphabet_size]
+    if not set(w).issubset(alphabet):
+        ch = next(ch for ch in w if ch not in alphabet)
+        raise ValueError(f"symbol {ch!r} not in source alphabet of size {m.source_alphabet_size}")
+    return w.translate(m._table)
 
 
 # The two hard-coded branch-coloring morphisms (12-uniform and 21-uniform).

@@ -3,12 +3,13 @@ module, prints the one-line report entry, and asserts the verdict.  The
 rooted-tree enumerator behind criterion 6's monotonicity sweep is pinned
 against OEIS A000081 and an independent canonical form; the inputs of
 criteria 7 and 9b are pinned against the exhaustive filters they replace,
-and criterion 9a's oracle is shown to catch faulty find_squares mutants."""
+and criterion 9a's oracle is shown to catch faulty mutants of find_squares'
+kernel."""
 
 import pytest
 
 from nonrep import acceptance
-from nonrep.repetitions import Repetition, find_squares
+from nonrep.repetitions import _square_pairs
 
 
 def _ahu(parent):
@@ -60,18 +61,19 @@ def test_atlas_graphs_are_the_filtered_atlas(max_vertices):
 @pytest.mark.parametrize(
     "mutant",
     [
-        lambda w, lo, hi: find_squares(w, lo, hi)[:-1],
-        lambda w, lo, hi: [r for r in find_squares(w, lo, hi) if r.period < hi],
-        lambda w, lo, hi: ([Repetition(0, 2, 1)] if w.startswith("01") else []) + find_squares(w, lo, hi),
+        lambda w, lo, hi: _square_pairs(w, lo, hi)[:-1],
+        lambda w, lo, hi: [(s, p) for s, p in _square_pairs(w, lo, hi) if p < hi],
+        lambda w, lo, hi: ([(0, 1)] if w.startswith("01") else []) + _square_pairs(w, lo, hi),
         # every square, but not in the documented (start, period) order
-        lambda w, lo, hi: find_squares(w, lo, hi)[::-1],
+        lambda w, lo, hi: _square_pairs(w, lo, hi)[::-1],
     ],
     ids=["drops-last-square", "cuts-top-period", "spurious-square", "reversed"],
 )
 def test_criterion_9a_catches_find_squares_mutants(monkeypatch, mutant):
+    # 9a checks find_squares' kernel, which test_repetitions ties to it
     monkeypatch.setattr(acceptance, "_C9A_MAX_LEN", 6)
     assert acceptance.criterion_9a_words()
-    monkeypatch.setattr(acceptance, "find_squares", mutant)
+    monkeypatch.setattr(acceptance, "_square_pairs", mutant)
     assert not acceptance.criterion_9a_words()
 
 

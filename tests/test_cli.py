@@ -277,6 +277,15 @@ def test_treecert_width_past_budget_exit_2(capsys, tmp_path):
     assert rc == 2 and out == "" and err == "error: width 10001: past the budget of 10000\n"
 
 
+def test_treecert_image_past_budget_exit_2(capsys, tmp_path):
+    f = tmp_path / "broad.txt"
+    f.write_text("".join(f"{s} -> {str(s % 2) * 10_000}\n" for s in range(3)))
+    argv = ["treecert", "certify", "--morphism", str(f), "--k", "1", "--beta", "19/10", "--n", "1", "--d", "2"]
+    assert main(argv + ["--factor-len", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: factor_len 8: images of 80000 symbols, past the budget of 50000\n"
+
+
 def test_graph_verify(capsys, tmp_path):
     f = tmp_path / "p4.json"
     main(["graph", "gen", "--family", "path", "--n", "4", "--out", str(f)])
@@ -519,7 +528,7 @@ GRAMMAR = {
     ("word", "check-directed"): {"--d": EDGE_INTS, "word": EDGE_WORDS},
     ("morphism", "apply"): {"--morphism": st.sampled_from(["g2", "g5", "nosuch", ""]), "word": EDGE_WORDS},
     ("treecert", "certify"): {
-        "--morphism": st.sampled_from(["g2", "g5", "nosuch", "WIDE"]), "--k": EDGE_INTS,
+        "--morphism": st.sampled_from(["g2", "g5", "nosuch", "WIDE", "BROAD"]), "--k": EDGE_INTS,
         "--beta": EDGE_RATIONALS | st.just("1999999/1000000"),
         "--n": EDGE_INTS, "--d": EDGE_INTS | st.just("10000000"),
         "--factor-len": EDGE_INTS | st.sampled_from(["8", "12"]),
@@ -568,13 +577,18 @@ def input_files(tmp_path_factory):
     # HUGE is past the vertex budget: unrefused, `search pik` on it runs for
     # minutes, though its adjacency sets still fit in memory.  DEEP nests
     # deeper than the json parser recurses.  WIDE is a morphism table past the
-    # width budget, whose structure analysis alone would take about 10 s
-    width = 60_000
+    # width budget, whose structure analysis alone would take about 10 s.
+    # BROAD is at the width budget: the image length budget refuses its
+    # factor lengths past 5, given or implied, so none runs near the cap
+    def table(width):
+        return "".join(f"{s} -> {random.Random(s).getrandbits(width):0{width}b}\n" for s in range(3))
+
     texts = {
         "GRAPH": json.dumps(stacked_triangulation(1).to_json_dict()),
         "HUGE": json.dumps({"n": 10**6, "edges": []}),
         "DEEP": "[" * 200_000,
-        "WIDE": "".join(f"{s} -> {random.Random(s).getrandbits(width):0{width}b}\n" for s in range(3)),
+        "WIDE": table(60_000),
+        "BROAD": table(10_000),
     }
     root = tmp_path_factory.mktemp("fuzz")
     for name, text in texts.items():

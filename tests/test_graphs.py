@@ -24,6 +24,7 @@ from nonrep.graphs import (
     verify_coloring,
 )
 from nonrep.repetitions import Repetition
+from nonrep.words import generate_powerfree_ternary
 
 
 def test_path_graph_examples():
@@ -412,7 +413,8 @@ def test_verify_coloring_below_twice_the_period_matches_naive(case, data):
     g, coloring = case
     k = data.draw(st.integers(1, g.n + 1))
     max_path = data.draw(st.integers(1, g.n + 2))
-    assert verify_coloring(g, coloring, k, max_path) == _naive_least_violation(g, coloring, k, max_path)
+    naive = _naive_least_violation([sorted(a) for a in g.adj], coloring.colors, k, max_path)
+    assert verify_coloring(g, coloring, k, max_path) == naive
 
 
 def test_verify_coloring_short_paths():
@@ -458,6 +460,51 @@ def test_verify_coloring_names_violation_past_the_probe(monkeypatch):
     assert swept == [True] and len(tails) == 31 and tails.count(None) == 30
 
 
+class _RecordingList(list):
+    """A list that records the index of every item read, by index or by
+    iterating over it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = []
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.reads.extend(range(len(self)))
+        return super().__iter__()
+
+
+def test_verify_coloring_reads_only_the_neighbours_it_expands():
+    # a square met early costs the sort of the vertices the DFS expanded,
+    # each once, not of all g.n: on the path, a square-free prefix of 30
+    # colours and then a repeat of the last, so the DFS expands 0..29 and
+    # the extension to 30 closes the square
+    word = [int(c) for c in generate_powerfree_ternary(30)]
+    g = path_graph(2000)
+    g.adj = _RecordingList(g.adj)
+    colors = word + word[-1:] + [0] * (g.n - 31)
+    got = verify_coloring(g, Coloring(tuple(colors), 3), 1, g.n)
+    assert got == (tuple(range(31)), Repetition(29, 2, 1))
+    assert g.adj.reads == list(range(30))
+    # on G_4, where vertex 0 neighbours 1, 2, 3 and more, the path 0-1-2-3
+    # reads 0101: the DFS expands 0, 1 and 2
+    g = stacked_triangulation(4)
+    g.adj = _RecordingList(g.adj)
+    got = verify_coloring(g, Coloring((0, 1, 0, 1) + (2,) * (g.n - 4), 3), 1, g.n)
+    assert got == ((0, 1, 2, 3), Repetition(0, 4, 2))
+    assert g.adj.reads == [0, 1, 2]
+
+
+def test_coloring_names_the_first_color_out_of_range():
+    assert Coloring((), 0).colors == ()
+    for colors, bad in (((0, 2, 5, -1, 7), 5), ((0, -1, 5), -1), ((3,), 3)):
+        with pytest.raises(ValueError, match=f"^color {bad} out of range$"):
+            Coloring(colors, 3)
+
+
 def _relabelled(g, coloring, perm):
     h = Graph(g.n)
     for u, v in g.edges():
@@ -478,7 +525,7 @@ def test_sweep_decides_like_the_naive_oracle_in_any_numbering(case, k, data):
     max_path = data.draw(st.integers(2, g.n + 2))
     perm = data.draw(st.permutations(range(g.n)))
     for h, c in ((g, coloring), _relabelled(g, coloring, perm)):
-        naive = _naive_least_violation(h, c, k, max_path)
+        naive = _naive_least_violation([sorted(a) for a in h.adj], c.colors, k, max_path)
         assert _swept_square(h, c.colors, k, max_path) == (naive is not None)
         assert verify_coloring(h, c, k, max_path) == naive
 

@@ -2,6 +2,7 @@
 its slice definition, exhaustive naive-oracle equivalences, slice oracles on
 words longer than a machine word, and pinned examples."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,7 @@ from nonrep.repetitions import (
     Repetition,
     _match_mask,
     _run_reaches,
+    _square_pairs,
     _symbol_masks,
     find_squares,
     is_d_directed,
@@ -95,6 +97,18 @@ def test_find_squares_sorted_and_exhaustive_small():
             assert [(r.start, r.period) for r in got] == sorted(
                 naive_squares(w, 1, length // 2 if length else 1)
             )
+
+
+def test_find_squares_wraps_the_pairs_kernel():
+    # criterion 9a checks the kernel, so find_squares must add nothing to it
+    rng = random.Random(7)
+    for _ in range(300):
+        w = "".join(rng.choice("012"[: rng.randint(1, 3)]) for _ in range(rng.randint(0, 40)))
+        lo = rng.randint(1, 6)
+        hi = rng.randint(lo, 25)
+        pairs = _square_pairs(w, lo, hi)
+        assert find_squares(w, lo, hi) == [Repetition(s, 2 * p, p) for s, p in pairs]
+        assert pairs == sorted(naive_squares(w, lo, hi))
 
 
 @given(st.text(alphabet="01", max_size=40), st.integers(1, 5), st.integers(1, 20))

@@ -303,6 +303,36 @@ def test_certify_refuses_a_table_past_the_width_budget(monkeypatch):
         certify_morphic_tree_coloring(Morphism(("0" * (width + 1),) * 3), spec)
 
 
+def test_certify_refuses_images_past_the_length_budget(monkeypatch):
+    # a given factor_len, or one implied by d, is refused before the
+    # structure analysis; one implied by the periods left open, after it
+    class Analysed(Exception):
+        pass
+
+    def analysed(m):
+        raise Analysed
+
+    spec = BranchCheckSpec(1, PowerFreeSpec(Fraction(19, 10), min_period=1), 2)
+    wide = Morphism(("01" * 5000,) * 3)
+    assert treecert._MAX_IMAGE_LEN == 50_000
+    with monkeypatch.context() as patch:
+        patch.setattr(treecert, "analyze_morphism_structure", analysed)
+        with pytest.raises(Analysed):
+            certify_morphic_tree_coloring(wide, spec, factor_len=5)
+        with pytest.raises(ConfigurationError, match="^factor_len 6: images of 60000 symbols, past the budget of 50000$"):
+            certify_morphic_tree_coloring(wide, spec, factor_len=6)
+        far = BranchCheckSpec(1, spec.free_spec, 45_000)
+        with pytest.raises(ConfigurationError, match="need factor_len >= 6: images of 60000 symbols, past"):
+            certify_morphic_tree_coloring(wide, far)
+    # g5 at d = 10 needs factor_len 9, images of 189 symbols
+    g5_d10 = BranchCheckSpec(5, PowerFreeSpec(Fraction(83, 42), min_period=5), 10)
+    monkeypatch.setattr(treecert, "iter_powerfree_ternary", lambda length: iter(()))
+    assert certify_morphic_tree_coloring(G5, g5_d10).factor_len == 9
+    monkeypatch.setattr(treecert, "_MAX_IMAGE_LEN", 188)
+    with pytest.raises(ConfigurationError, match="need factor_len >= 9: images of 189 symbols, past the budget of 188"):
+        certify_morphic_tree_coloring(G5, g5_d10)
+
+
 @pytest.mark.parametrize("m", [G2, G5], ids=["g2", "g5"])
 def test_crossing_periods_are_those_the_run_bound_leaves_open(m, monkeypatch):
     # the certificate checks directly exactly the periods in [k, p*) whose

@@ -1,6 +1,7 @@
 """Tests for words: morphisms, power-free generation and enumeration."""
 
 import hashlib
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -89,10 +90,21 @@ def test_apply_morphism_examples():
     assert apply_morphism(G2, "0") == "011220012201"
     assert apply_morphism(G2, "") == ""
     assert apply_morphism(G2, "01") == "011220012201122001120012"
-    with pytest.raises(ValueError):
-        apply_morphism(G2, "3")
-    with pytest.raises(ValueError):
-        apply_morphism(G2, "\uff10")  # a full-width 0
+    # the first symbol outside the alphabet is named, a non-ASCII digit too
+    with pytest.raises(ValueError, match="^symbol '3' not in source alphabet of size 3$"):
+        apply_morphism(G2, "0123")
+    with pytest.raises(ValueError, match="^symbol '\uff10' not in source alphabet of size 3$"):
+        apply_morphism(G2, "0\uff103")  # a full-width 0
+    with pytest.raises(ValueError, match="^symbol '1' not in source alphabet of size 1$"):
+        apply_morphism(Morphism(("0",)), "001")
+
+
+@pytest.mark.parametrize("m", [G2, G5, Morphism(("2", "0", "1"))], ids=["g2", "g5", "width-1"])
+def test_apply_morphism_concatenates_the_images(m):
+    rng = random.Random(22)
+    for length in [0, 1, 2, 7, 50, 300]:
+        w = "".join(rng.choice("012") for _ in range(length))
+        assert apply_morphism(m, w) == "".join(m.images[int(ch)] for ch in w)
 
 
 @given(ternary_words, ternary_words)
