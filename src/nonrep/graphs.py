@@ -12,6 +12,7 @@ fan and U_t witnesses are built from the stacking rounds, not searched for.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
 
@@ -33,11 +34,13 @@ def _json_list(value, key: str, size: int | None = None, ints: bool = False) -> 
 
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with optional construction
-    metadata (insertion log, face list, levels, distinguished main edge)."""
+    metadata (insertion log, face list, levels, distinguished main edge).
+    Each g.adj[u] lists u's neighbours in strictly increasing order: its two
+    writers, add_edge and from_json_dict, keep it so."""
 
     def __init__(self, n: int = 0):
         self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
+        self.adj: list[list[int]] = [[] for _ in range(n)]
         self.construction_log: list[tuple[int, tuple[int, ...]]] | None = None
         self.faces: list[tuple[int, int, int]] | None = None
         self.main_edge: tuple[int, int] | None = None
@@ -47,7 +50,7 @@ class Graph:
     def add_vertex(self, neighbors=()) -> int:
         v = self.n
         self.n += 1
-        self.adj.append(set())
+        self.adj.append([])
         for u in neighbors:
             self.add_edge(u, v)
         return v
@@ -57,14 +60,21 @@ class Graph:
             raise ValueError("no self-loops")
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError("vertex out of range")
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        au, av = self.adj[u], self.adj[v]
+        if (not au or au[-1] < v) and (not av or av[-1] < u):
+            au.append(v)
+            av.append(u)
+        elif not self.has_edge(u, v):
+            insort(au, v)
+            insort(av, u)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        a = self.adj[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
+        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     @property
     def edge_count(self) -> int:
@@ -95,9 +105,11 @@ class Graph:
             raise ValueError(f"graph JSON 'n' must be a non-negative int, not {d['n']!r}")
         if d["n"] > _MAX_VERTICES:
             raise ValueError(f"graph JSON 'n' {d['n']} is past the budget of {_MAX_VERTICES} vertices")
+        edges = [_json_list(e, "edges", 2, ints=True) for e in _json_list(d["edges"], "edges")]
         g = cls(d["n"])
-        for e in _json_list(d["edges"], "edges"):
-            g.add_edge(*_json_list(e, "edges", 2, ints=True))
+        # in sorted (min, max) order every insertion appends
+        for u, v in sorted((u, v) if u < v else (v, u) for u, v in edges):
+            g.add_edge(u, v)
         if "construction" in d:
             g.construction_log = []
             for r in _json_list(d["construction"], "construction"):
@@ -224,12 +236,12 @@ def plus4_gadget(h: Graph, m: int) -> Graph:
     _check_vertex_budget((2 * m + 2, 2 * m * h.n))
     g = Graph(2 * m + 2)
     c, d = 2 * m, 2 * m + 1
-    g.add_edge(c, d)
     for j in range(m):
         g.add_edge(2 * j, 2 * j + 1)
     for x in range(2 * m):
         g.add_edge(c, x)
         g.add_edge(d, x)
+    g.add_edge(c, d)  # last, so that every edge above appends
     h_edges = h.edges()
     for x in range(2 * m):
         base = g.n
@@ -326,7 +338,7 @@ def u_witness(i: int, x: int, t: int) -> dict[int, int]:
         raise ValueError(f"vertex {x} not in the level-{i} triangulation")
     big, round_maps = _shared_rounds(i + t + 2)
     # later rounds number their vertices after G_i's: x's least neighbour is in G_i
-    hosts = fan_witness(i, (x, min(big.adj[x])), 2)
+    hosts = fan_witness(i, (x, big.adj[x][0]), 2)
     for r in range(i + 2, i + t + 2):
         inserted = round_maps[r]
         nxt = [hosts[0]]
@@ -505,8 +517,8 @@ def verify_coloring(
     tail (`_tail_square`), in two steps: (1) the probe, its first g.n
     extensions, returns the verdict it reaches; (2) past them the sweep
     (`_swept_square`) decides once, and on a violation the same DFS goes on
-    to name the least violating path.  A vertex's neighbours are sorted when
-    the DFS first expands it, so a square met early costs a few sorts.
+    to name the least violating path: the first it meets, as it walks each
+    vertex's neighbours in g.adj's increasing order.
     """
     if k < 1 or max_path < 1:
         raise ValueError("need k >= 1 and max_path >= 1")
@@ -516,7 +528,7 @@ def verify_coloring(
         return None
     colors = coloring.colors
     pmax = max_path // 2
-    adjs: list[list[int] | None] = [None] * g.n  # g.adj[u], sorted when first expanded
+    adj = g.adj
     stop = g.n + 1  # the first extension past the probe; 0 once swept
     visited_paths = 0
     on_path = [False] * g.n
@@ -526,9 +538,7 @@ def verify_coloring(
         path = [start]
         seq = [colors[start]]
         on_path[start] = True
-        if adjs[start] is None:
-            adjs[start] = sorted(g.adj[start])
-        nbrs = iter(adjs[start])
+        nbrs = iter(adj[start])
         stack = [nbrs]
         while True:
             for u in nbrs:
@@ -557,9 +567,7 @@ def verify_coloring(
                 if p is not None:
                     return tuple(path), Repetition(m - 2 * p + 1, 2 * p, p)
             if m + 1 < max_path:
-                if adjs[u] is None:
-                    adjs[u] = sorted(g.adj[u])
-                nbrs = iter(adjs[u])
+                nbrs = iter(adj[u])
                 stack.append(nbrs)
             else:
                 on_path[u] = False

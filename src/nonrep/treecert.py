@@ -111,10 +111,10 @@ class MorphismStructure:
     positionwise match run u[j] == u[j-p] can be inside any image u of a
     threshold-free source word.
 
-    shifted_window_hits lists triples (x, y, r) where some image equals the
-    window (x+y)[r:r+width] for 0 < r < width; when empty, a run at any
-    distance p not divisible by the width can never contain a whole aligned
-    block, so it has length at most 2*width - 2.
+    shifted_window_hits counts the triples (x, y, r) where some image equals
+    the window (x+y)[r:r+width] for 0 < r < width; when there are none, a run
+    at any distance p not divisible by the width can never contain a whole
+    aligned block, so it has length at most 2*width - 2.
 
     For p = q*width and pairwise distinct images, a run decomposes into at most
     floor(3q/4) whole matching blocks (more would force a source factor of
@@ -123,8 +123,8 @@ class MorphismStructure:
     mismatched block pair is bounded by solo_run_max."""
 
     width: int
-    distinct: bool
-    shifted_window_hits: tuple
+    distinct_images: bool
+    shifted_window_hits: int
     lcp_max: int
     lcs_max: int
     solo_run_max: int
@@ -139,7 +139,7 @@ class MorphismStructure:
             raise ValueError("need p >= 1")
         if p % self.width:
             return self.misaligned_run_bound()
-        if not self.distinct:
+        if not self.distinct_images:
             return None
         blocks = (3 * (p // self.width)) // 4
         return max(self.solo_run_max, self.lcs_max + self.width * blocks + self.lcp_max)
@@ -149,13 +149,13 @@ def analyze_morphism_structure(m: Morphism) -> MorphismStructure:
     imgs = m.images
     w = m.uniform_width
     image_set = set(imgs)
-    hits = []
+    hits = 0
     for x in imgs:
         for y in imgs:
             cat = x + y
             for r in range(1, w):
                 if cat[r : r + w] in image_set:
-                    hits.append((x, y, r))
+                    hits += 1
     lcp_max = lcs_max = solo_max = 0
     for x in imgs:
         for y in imgs:
@@ -176,8 +176,8 @@ def analyze_morphism_structure(m: Morphism) -> MorphismStructure:
             solo_max = max(solo_max, best)
     return MorphismStructure(
         width=w,
-        distinct=len(image_set) == len(imgs),
-        shifted_window_hits=tuple(hits),
+        distinct_images=len(image_set) == len(imgs),
+        shifted_window_hits=hits,
         lcp_max=lcp_max,
         lcs_max=lcs_max,
         solo_run_max=solo_max,
@@ -586,9 +586,6 @@ def certify_morphic_tree_coloring(
     if bounds_error is not None and not any((free_cx, square_cx, scan_cx, dir_cx)):
         raise bounds_error
 
-    structure_params = asdict(st)
-    structure_params["distinct_images"] = structure_params.pop("distinct")
-    structure_params["shifted_window_hits"] = len(st.shifted_window_hits)
     checks = [
         CheckRecord(
             "image-freeness",
@@ -598,7 +595,7 @@ def certify_morphic_tree_coloring(
                 "strict": free_spec.strict,
                 "min_period": n,
                 "dynamic_periods": free_dyn,
-                **structure_params,
+                **asdict(st),
             },
             free_cx,
         ),

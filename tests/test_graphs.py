@@ -1,5 +1,6 @@
 """Tests for the graph family generators, witnesses, and the coloring verifier."""
 
+import time
 from itertools import product
 
 import pytest
@@ -24,6 +25,7 @@ from nonrep.graphs import (
     verify_coloring,
 )
 from nonrep.repetitions import Repetition
+from nonrep.treecert import build_level_tree
 from nonrep.words import generate_powerfree_ternary
 
 
@@ -413,7 +415,7 @@ def test_verify_coloring_below_twice_the_period_matches_naive(case, data):
     g, coloring = case
     k = data.draw(st.integers(1, g.n + 1))
     max_path = data.draw(st.integers(1, g.n + 2))
-    naive = _naive_least_violation([sorted(a) for a in g.adj], coloring.colors, k, max_path)
+    naive = _naive_least_violation(g.adj, coloring.colors, k, max_path)
     assert verify_coloring(g, coloring, k, max_path) == naive
 
 
@@ -478,10 +480,10 @@ class _RecordingList(list):
 
 
 def test_verify_coloring_reads_only_the_neighbours_it_expands():
-    # a square met early costs the sort of the vertices the DFS expanded,
-    # each once, not of all g.n: on the path, a square-free prefix of 30
-    # colours and then a repeat of the last, so the DFS expands 0..29 and
-    # the extension to 30 closes the square
+    # a square met early costs the neighbour lists of the vertices the DFS
+    # expanded, each read once, not all g.n of them: on the path, a
+    # square-free prefix of 30 colours and then a repeat of the last, so the
+    # DFS expands 0..29 and the extension to 30 closes the square
     word = [int(c) for c in generate_powerfree_ternary(30)]
     g = path_graph(2000)
     g.adj = _RecordingList(g.adj)
@@ -525,7 +527,7 @@ def test_sweep_decides_like_the_naive_oracle_in_any_numbering(case, k, data):
     max_path = data.draw(st.integers(2, g.n + 2))
     perm = data.draw(st.permutations(range(g.n)))
     for h, c in ((g, coloring), _relabelled(g, coloring, perm)):
-        naive = _naive_least_violation([sorted(a) for a in h.adj], c.colors, k, max_path)
+        naive = _naive_least_violation(h.adj, c.colors, k, max_path)
         assert _swept_square(h, c.colors, k, max_path) == (naive is not None)
         assert verify_coloring(h, c, k, max_path) == naive
 
@@ -626,3 +628,64 @@ def test_graph_invariants():
         g.add_edge(0, 0)
     g.add_edge(0, 1)
     assert g.has_edge(1, 0)
+
+
+def _assert_sorted_adjacency(g, edges):
+    """g.adj[u] is the strictly increasing list of u's neighbours in edges, a
+    set of (min, max) pairs; edges() and has_edge agree with it; and adding
+    an existing edge, either way round, changes nothing."""
+    for u, nbrs in enumerate(g.adj):
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+        assert set(nbrs) == {b for a, b in edges if a == u} | {a for a, b in edges if b == u}
+    assert g.edges() == sorted(edges)
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+    before = [list(a) for a in g.adj]
+    for u, v in edges:
+        g.add_edge(v, u)
+        g.add_edge(u, v)
+    assert g.adj == before
+
+
+def test_every_builder_keeps_neighbour_lists_increasing():
+    built = [path_graph(7), plus4_gadget(stacked_triangulation(1), 3), complete_tree(3, 3),
+             build_level_tree(generate_powerfree_ternary(6), 5, 2)[0], leveled_outerplanar(3, 3)]
+    built += [stacked_triangulation(i) for i in range(5)]
+    built += [outerplanar_U(i) for i in range(7)]
+    for g in built:
+        edges = {(min(u, v), max(u, v)) for u in range(g.n) for v in g.adj[u]}
+        _assert_sorted_adjacency(g, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graph_json_in_any_edge_order_loads_increasing_lists(data):
+    # shuffled, reversed, duplicated and (v, u) pairs
+    n = data.draw(st.integers(2, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+    listed = [[b, a] if data.draw(st.booleans()) else [a, b] for a, b in edges]
+    listed += data.draw(st.lists(st.sampled_from(listed), max_size=4)) if listed else []
+    listed = data.draw(st.permutations(listed))
+    for order in (listed, listed[::-1]):
+        _assert_sorted_adjacency(Graph.from_json_dict({"n": n, "edges": order}), set(edges))
+    # the same lists come from add_edge calls in file order
+    g = Graph(n)
+    for a, b in listed:
+        g.add_edge(a, b)
+    _assert_sorted_adjacency(g, set(edges))
+
+
+def test_graph_json_star_listed_backward_loads_in_linear_time(monkeypatch):
+    # inserting in file order would move every earlier leaf of the hub's
+    # list once per leaf, quadratic in the leaves (4.7 s against 0.2 s on a
+    # 2-core host); the load adds the edges in sorted order, so each appends
+    n = 200_000
+    doc = {"n": n, "edges": [[0, v] for v in range(n - 1, 0, -1)]}
+    inserts = _spy(monkeypatch, "insort")
+    t0 = time.perf_counter()
+    g = Graph.from_json_dict(doc)
+    assert time.perf_counter() - t0 < 2
+    assert inserts == []
+    assert g.adj[0] == list(range(1, n)) and g.adj[n - 1] == [0]

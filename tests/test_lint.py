@@ -2,6 +2,7 @@
 never uses (no linter is a dependency, so the check reads the syntax tree
 itself; `__init__.py` is skipped: its imports are the package's re-exports),
 and none uses `assert`, which `python -O` strips, as a runtime check.
+No module sorts a graph's neighbour lists: `Graph` keeps them increasing.
 Every function, class and method the package defines has a caller in the
 package, so no helper is kept alive by tests alone.
 No module imports numpy, which is not a dependency; in particular the
@@ -95,6 +96,52 @@ def test_every_definition_has_a_caller_in_the_package():
     # __init__.py is skipped: its re-exports are no callers
     sources = {p.name: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
     assert uncalled_definitions(sources) == []
+
+
+def _sort_operands(tree):
+    """(line, x) for every `sorted(x, ...)` and `x.sort(...)` call in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "sorted" and node.args:
+                yield node.lineno, node.args[0]
+            elif isinstance(node.func, ast.Attribute) and node.func.attr == "sort":
+                yield node.lineno, node.func.value
+
+
+def adjacency_sorts(source: str) -> list[int]:
+    """The lines of every sort of an expression that reads an `.adj`
+    attribute, directly or through the target of a comprehension over one."""
+    def reads(node, names=()):
+        return any(isinstance(sub, ast.Attribute) and sub.attr == "adj"
+                   or isinstance(sub, ast.Name) and sub.id in names for sub in ast.walk(node))
+
+    tree = ast.parse(source)
+    lines = {line for line, x in _sort_operands(tree) if reads(x)}
+    for comp in ast.walk(tree):
+        if isinstance(comp, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            names = {t.id for gen in comp.generators if reads(gen.iter)
+                     for t in ast.walk(gen.target) if isinstance(t, ast.Name)}
+            lines.update(line for line, x in _sort_operands(comp) if reads(x, names))
+    return sorted(lines)
+
+
+def test_adjacency_sorts_detected():
+    source = (
+        "a = sorted(g.adj[v])\n"
+        "b = [sorted(x) for x in g.adj]\n"
+        "c = sorted(u for u in h.adj[0] if u)\n"
+        "g.adj[v].sort()\n"
+        "d = sorted(g.edges())\n"
+        "e = g.adj[v][0]\n"
+        "f = [sorted(x) for x in rows]\n"
+    )
+    assert adjacency_sorts(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_sorts_an_adjacency(path):
+    # Graph keeps each g.adj[u] increasing: the neighbour order has one owner
+    assert adjacency_sorts(path.read_text()) == []
 
 
 def asserts(source: str) -> list[int]:

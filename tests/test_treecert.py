@@ -195,8 +195,8 @@ def test_scan_image_centers_hits_past_128_bits(src, cut, tail, lo, extra):
 
 def test_morphism_structure_g2():
     st2 = analyze_morphism_structure(G2)
-    assert st2.width == 12 and st2.distinct
-    assert st2.shifted_window_hits == ()
+    assert st2.width == 12 and st2.distinct_images
+    assert st2.shifted_window_hits == 0
     assert (st2.lcp_max, st2.lcs_max, st2.solo_run_max) == (0, 0, 0)
     assert st2.misaligned_run_bound() == 22
     assert st2.run_bound(13) == 22
@@ -206,8 +206,8 @@ def test_morphism_structure_g2():
 
 def test_morphism_structure_g5():
     st5 = analyze_morphism_structure(G5)
-    assert st5.width == 21 and st5.distinct
-    assert st5.shifted_window_hits == ()
+    assert st5.width == 21 and st5.distinct_images
+    assert st5.shifted_window_hits == 0
     # common prefix of images 1 and 2 is 16 symbols; common suffix pairs are
     # short; both recomputed here by direct comparison
     lcp = max(
@@ -841,7 +841,7 @@ def test_dynamic_periods_match_the_stepwise_walk_on_any_structure(
         width, run_max, distinct, hits, k, n, beta, d):
     # structures with and without bounds, including widths of 1 (no
     # misaligned periods) and shifted-window hits (no misaligned bound)
-    structure = MorphismStructure(width, distinct, ((0, 0, 1),) if hits else (),
+    structure = MorphismStructure(width, distinct, int(hits),
                                   run_max // 3, run_max // 2, run_max)
     spec = BranchCheckSpec(k, PowerFreeSpec(beta, min_period=n, strict=beta < 2), d)
     new, old = walks(structure, spec)
