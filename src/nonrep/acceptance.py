@@ -12,6 +12,7 @@ import time
 from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .words import G2, G5, Morphism, apply_morphism, generate_powerfree_ternary
 from .repetitions import PowerFreeSpec, Repetition, _square_pairs, find_squares
@@ -338,14 +339,18 @@ def _atlas_graphs(max_vertices: int):
 def criterion_9b_graphs(max_vertices: int = 7) -> bool:
     """verify_coloring agrees with the naive re-implementation on every graph
     with <= max_vertices vertices (atlas representatives) under every
-    2-coloring, at k=1."""
+    2-coloring, at k=1.  The graphs of one vertex count share its 2^n
+    colorings, built once as a list (a generator would run out after the
+    first graph)."""
+    colorings: dict[int, list[Coloring]] = {}
     for ng in _atlas_graphs(max_vertices):
         n = ng.number_of_nodes()
         g = Graph(n)
         for u, v in ng.edges():
             g.add_edge(u, v)
-        for mask in range(2 ** n):
-            coloring = Coloring(tuple((mask >> v) & 1 for v in range(n)), 2)
+        if n not in colorings:
+            colorings[n] = [Coloring(c, 2) for c in product((0, 1), repeat=n)]
+        for coloring in colorings[n]:
             if verify_coloring(g, coloring, 1, n) != _naive_verify(g.adj, coloring.colors, 1, n):
                 return False
     return True

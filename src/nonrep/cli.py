@@ -57,6 +57,16 @@ def _morphism(name: str) -> Morphism:
     raise ValueError(f"unknown morphism {name!r} (not a named morphism or a file)")
 
 
+def _colors(text: str) -> tuple[int, ...]:
+    """A --colors value: a comma-separated list, or a file that holds one (a
+    list for more than about 65 000 vertices passes the 128 KiB that Linux
+    allows one argument)."""
+    if os.path.exists(text):
+        with open(text) as fh:
+            text = fh.read()
+    return tuple(int(c) for c in text.split(","))
+
+
 def _default_budget() -> SearchBudget:
     """The search budget, with each field an environment variable sets; an
     invalid value is refused naming its variable."""
@@ -145,7 +155,7 @@ def cmd_graph(args) -> int:
             print(text)
         return 0
     g = _read_graph(args.graph)
-    colors = tuple(int(c) for c in args.colors.split(","))
+    colors = _colors(args.colors)
     coloring = Coloring(colors, max(colors) + 1)
     max_path = g.n if args.max_path is None else args.max_path
     hit = verify_coloring(g, coloring, args.k, max_path)
@@ -232,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     gg.add_argument("--out")
     gv = gsub.add_parser("verify")
     gv.add_argument("--graph", required=True)
-    gv.add_argument("--colors", required=True, help="comma-separated vertex colors")
+    gv.add_argument("--colors", required=True, help="comma-separated vertex colors, or a file holding them")
     gv.add_argument("--k", type=int, required=True)
     gv.add_argument("--max-path", type=int, default=None)
     g.set_defaults(func=cmd_graph)

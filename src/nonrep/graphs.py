@@ -259,6 +259,7 @@ def complete_tree(depth: int, arity: int) -> Graph:
     holds each vertex's depth."""
     if depth < 0 or arity < 1:
         raise ValueError("need depth >= 0 and arity >= 1")
+    _check_vertex_budget(arity**lv for lv in range(depth + 1))
     levels = [lv for lv in range(depth + 1) for _ in range(arity**lv)]
     g = Graph(len(levels))
     for v in range(1, g.n):
@@ -273,7 +274,6 @@ def leveled_outerplanar(levels: int, path_len: int) -> Graph:
     consecutive children adjacent)."""
     if levels < 0 or path_len < 1:
         raise ValueError("need levels >= 0 and path_len >= 1")
-    _check_vertex_budget(path_len**lv for lv in range(levels + 1))
     g = complete_tree(levels, path_len)
     for v in range(1, g.n):
         if (v - 1) % path_len:  # v is not its parent's first child

@@ -4,12 +4,15 @@ rooted-tree enumerator behind criterion 6's monotonicity sweep is pinned
 against OEIS A000081 and an independent canonical form; the inputs of
 criteria 7 and 9b are pinned against the exhaustive filters they replace,
 and criterion 9a's oracle is shown to catch faulty mutants of find_squares'
-kernel."""
+kernel.  Criterion 9b is shown to run both checkers on every (graph,
+coloring) pair and to catch a verifier wrong on a single pair."""
+
+from collections import Counter
 
 import pytest
 
 from nonrep import acceptance
-from nonrep.repetitions import _square_pairs
+from nonrep.repetitions import Repetition, _square_pairs
 
 
 def _ahu(parent):
@@ -56,6 +59,54 @@ def test_atlas_graphs_are_the_filtered_atlas(max_vertices):
     want = [shape(g) for g in nx.graph_atlas_g()
             if 2 <= g.number_of_nodes() <= max_vertices and g.number_of_edges()]
     assert [shape(g) for g in acceptance._atlas_graphs(max_vertices)] == want
+
+
+@pytest.mark.parametrize("max_vertices", [4, 5])
+def test_criterion_9b_checks_every_coloring_with_both_checkers(monkeypatch, max_vertices):
+    # each atlas graph on n vertices is checked under its 2^n colorings by
+    # both checkers; colorings shared through a generator would run out
+    # after the first graph of a size
+    import networkx as nx
+
+    calls = Counter()
+
+    def counting(name, checker):
+        def wrapper(*args):
+            calls[name] += 1
+            return checker(*args)
+        return wrapper
+
+    for name in ("verify_coloring", "_naive_verify"):
+        monkeypatch.setattr(acceptance, name, counting(name, getattr(acceptance, name)))
+    assert acceptance.criterion_9b_graphs(max_vertices)
+    want = sum(2 ** g.number_of_nodes() for g in nx.graph_atlas_g()
+               if 2 <= g.number_of_nodes() <= max_vertices and g.number_of_edges())
+    assert calls == {"verify_coloring": want, "_naive_verify": want}
+
+
+@pytest.mark.parametrize("n, graph, call", [(4, -1, -1), (3, 1, 0)],
+                         ids=["last-of-last-4-vertex-graph", "first-of-second-3-vertex-graph"])
+def test_criterion_9b_catches_a_verifier_wrong_on_one_coloring(monkeypatch, n, graph, call):
+    # the verifier flips its verdict on one (graph, coloring) pair alone: the
+    # call-th coloring it is given on the graph-th atlas graph of n vertices
+    shapes = [sorted(map(sorted, g.edges())) for g in acceptance._atlas_graphs(n) if g.number_of_nodes() == n]
+    target, wrong_call = shapes[graph], call % 2 ** n + 1
+    calls = 0
+    verify = acceptance.verify_coloring
+
+    def wrong_once(g, coloring, k, max_path):
+        nonlocal calls
+        hit = verify(g, coloring, k, max_path)
+        if g.n == n and list(map(list, g.edges())) == target:
+            calls += 1
+            if calls == wrong_call:
+                return None if hit else ((0, 1), Repetition(0, 2, 1))
+        return hit
+
+    assert acceptance.criterion_9b_graphs(4)
+    monkeypatch.setattr(acceptance, "verify_coloring", wrong_once)
+    assert not acceptance.criterion_9b_graphs(4)
+    assert calls == wrong_call  # 9b stops at the first disagreement
 
 
 @pytest.mark.parametrize(

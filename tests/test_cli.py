@@ -316,6 +316,25 @@ def test_graph_verify_long_path(capsys, tmp_path):
     assert "period=90" in out.splitlines()[1]
 
 
+def test_graph_verify_colors_from_a_file(capsys, tmp_path):
+    # one colour per vertex of a 70 000-vertex path is past the 128 KiB that
+    # Linux allows one argument, so such a list can come only from a file
+    n = 70_000
+    f = tmp_path / "p.json"
+    main(["graph", "gen", "--family", "path", "--n", str(n), "--out", str(f)])
+    capsys.readouterr()
+    colors_file = tmp_path / "colors.txt"
+    for colors, tail, want_rc in ((",".join(str(v % 3) for v in range(n)), ["--max-path", "5"], 0),
+                                  (",".join("0" * n), [], 1)):
+        assert len(colors) > 128 * 1024
+        colors_file.write_text(colors + "\n")
+        runs = []
+        for value in (colors, str(colors_file)):
+            rc = main(["graph", "verify", "--graph", str(f), "--colors", value, "--k", "1"] + tail)
+            runs.append((rc, *capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[0][0] == want_rc and runs[0][2] == ""
+
+
 def test_graph_verify_one_vertex(capsys, tmp_path):
     f = tmp_path / "p1.json"
     assert main(["graph", "gen", "--family", "path", "--n", "1", "--out", str(f)]) == 0
@@ -539,7 +558,8 @@ GRAMMAR = {
     },
     ("graph", "verify"): {
         "--graph": st.sampled_from(["GRAPH", "HUGE", "DEEP", "/no/such.json"]),
-        "--colors": st.sampled_from(["0,1,2,3", "0,1,2,0", "0,0", "1", "", "x", "-1,0"]),
+        "--colors": st.sampled_from(["0,1,2,3", "0,1,2,0", "0,0", "1", "", "x", "-1,0",
+                                     "COLORS", "NOTINTS", "EMPTY", "DEEP"]),
         "--k": EDGE_INTS, "--max-path": EDGE_INTS,
     },
     ("search", "pik"): {"--graph": st.sampled_from(["GRAPH", "HUGE", "DEEP", "/no/such.json"]),
@@ -579,7 +599,9 @@ def input_files(tmp_path_factory):
     # deeper than the json parser recurses.  WIDE is a morphism table past the
     # width budget, whose structure analysis alone would take about 10 s.
     # BROAD is at the width budget: the image length budget refuses its
-    # factor lengths past 5, given or implied, so none runs near the cap
+    # factor lengths past 5, given or implied, so none runs near the cap.
+    # COLORS, NOTINTS and EMPTY are colour files for `graph verify`: one colour
+    # per vertex of GRAPH, words that are not integers, and nothing
     def table(width):
         return "".join(f"{s} -> {random.Random(s).getrandbits(width):0{width}b}\n" for s in range(3))
 
@@ -589,6 +611,9 @@ def input_files(tmp_path_factory):
         "DEEP": "[" * 200_000,
         "WIDE": table(60_000),
         "BROAD": table(10_000),
+        "COLORS": "0,1,2,3,0,1,2,3\n",
+        "NOTINTS": "a,b,1.5\n",
+        "EMPTY": "",
     }
     root = tmp_path_factory.mktemp("fuzz")
     for name, text in texts.items():

@@ -162,10 +162,11 @@ def test_leveled_outerplanar_examples():
 
 def test_generators_share_one_vertex_budget():
     # an over-budget instance of each family is refused before it is built:
-    # 200 001, 354 296 (G_11), 262 145 (U_18), 200 012 and 2^18 - 1 vertices
+    # 200 001, 354 296 (G_11), 262 145 (U_18), 200 012, 2^18 - 1 and 2^41 - 1
+    # vertices; the last, a level tree's shape, would otherwise exhaust memory
     for build in (lambda: path_graph(200_001), lambda: stacked_triangulation(11),
                   lambda: outerplanar_U(18), lambda: plus4_gadget(path_graph(4), 20_001),
-                  lambda: leveled_outerplanar(17, 2)):
+                  lambda: leveled_outerplanar(17, 2), lambda: complete_tree(40, 2)):
         with pytest.raises(ValueError, match="budget"):
             build()
     assert stacked_triangulation(2).n == 20 and outerplanar_U(4).n == 17
