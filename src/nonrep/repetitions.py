@@ -85,19 +85,29 @@ class PowerFreeSpec:
             return (num * period) // den + 1
         return -(-(num * period) // den)
 
+    def max_period(self, n: int) -> int:
+        """The largest period whose violation fits in n symbols (min_period
+        aside); violation_length grows with the period."""
+        num, den = self.exponent_bound.as_integer_ratio()
+        if self.strict:
+            return (den * n - 1) // num
+        return (den * n) // num
 
-def _symbol_masks(w: str, blank: str | None = None) -> list[int]:
-    """One int per distinct symbol of w other than blank, with bit j set
-    where w[j] is that symbol; positions holding blank are in no mask."""
+
+def _symbol_masks(w: str, length: int = 0, gap: int = 0) -> list[int]:
+    """One int per distinct symbol of w, with bit j set where w[j] is that
+    symbol.  With a gap, w is words of `length` symbols end to end, each
+    followed in the masks by `gap` positions that no mask sets: symbol i of
+    word j sits at bit j * (length + gap) + i."""
     rev = w[::-1]
     table = dict.fromkeys(map(ord, set(w)), "0")
-    skip = None if blank is None else ord(blank)
     masks = []
     for c in table:
-        if c == skip:
-            continue
         table[c] = "1"
-        masks.append(int(rev.translate(table), 2))
+        bits = rev.translate(table)
+        if gap:
+            bits = ("0" * gap).join([bits[i:i + length] for i in range(0, len(bits), length)])
+        masks.append(int(bits, 2))
         table[c] = "0"
     return masks
 
@@ -155,10 +165,8 @@ def _violation_ends(eq, n: int, spec: PowerFreeSpec):
     symbols, in order: (p, violation length, match mask eq(p), the bits j
     where a violating factor of period p ends), i.e. where the match run at
     p reaches the violation length minus p, which is at least 1."""
-    for p in range(spec.min_period, n):
+    for p in range(spec.min_period, spec.max_period(n) + 1):
         length = spec.violation_length(p)
-        if length > n:
-            return
         match = eq(p)
         yield p, length, match, _run_reaches(match, length - p)
 

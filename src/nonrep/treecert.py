@@ -33,13 +33,14 @@ of a sufficient fixed length.
 
 Those images all have one length L, and the direct checks run on all of them
 at once (`_Packed`): the images are laid end to end in one int bit mask per
-symbol, each followed by a gap of L positions that no mask sets.  Every
-period checked is at most L, so no match run and no mirror pair of the
-center scan reaches across a gap, and one pass per period over the packed
-masks answers a check for every image.  The lowest hit, divided by the
-stride 2L, names the first failing source word; the per-image check then
-names its counterexample exactly as it would alone.  Memory does not grow
-with factor_len: a chunk keeps its symbol masks and at most L match masks.
+symbol, each followed by a gap that no mask sets, as wide as the longest
+period a pass asks for (`_gap`, about L/2 for g2 and g5).  No match run and
+no mirror pair of the center scan reaches across a gap, so one pass per
+period over the packed masks answers a check for every image.  The lowest
+hit, divided by the stride, names the first failing source word; the
+per-image check then names its counterexample exactly as it would alone.
+Memory does not grow with factor_len: a chunk keeps its symbol masks and at
+most L match masks.
 """
 
 from __future__ import annotations
@@ -256,7 +257,11 @@ def _crossing_centers(eq, p: int):
     run of p - delta >= 1 matches ending at i reads back to
     img[i - 2p + 1 + delta], and at delta = p the mirror pairs read back to
     img[i - p].  Bits whose reads fall before a word's first symbol are never
-    set, and neither are bits where no symbol is."""
+    set, and neither are bits where no symbol is.
+
+    On packed images (`_Packed`), a gap of at least p keeps each bit to one
+    image: a mirror pair reads at most p back, and a run is a row of
+    adjacent match bits, which the gap's unset bits cut."""
     mirrors = [eq(0)]
     for delta in range(1, p + 1):
         # bit i: img[i - p + delta] == img[i - delta]
@@ -267,11 +272,15 @@ def _crossing_centers(eq, p: int):
     top = len(mirrors) - 1
     if not top:
         return
+    # each yield is mirrors[delta] & reach with mirrors[delta] a subset of
+    # mirrors[1], so narrowing reach to mirrors[1] changes no yield, and once
+    # reach is empty no shift is needed
     match = eq(p)
-    reach = _run_reaches(match, p - top) if top < p else mirrors[0]
+    reach = _run_reaches(match, p - top) & mirrors[1] if top < p else mirrors[1]
     for delta in range(top, 0, -1):
         yield delta, mirrors[delta] & reach
-        reach &= match << (p - delta)
+        if reach:
+            reach &= match << (p - delta)
 
 
 def _scan_image_centers(img: str, periods):
@@ -289,11 +298,11 @@ def _scan_image_centers(img: str, periods):
     Per period the scan works on bit masks over the centers i, made from
     match masks (`_crossing_centers`); a center whose least admissible delta
     is delta shows up at that delta.  The packed certificate pass (`_Packed`)
-    runs it on many images laid end to end, each followed by a gap of
-    len(img) empty positions.  Each bit of a match or mirror mask reads
-    positions at most p <= len(img) before it, so a read past an image's
-    start lands in the gap, never in the image before: no bit mixes two
-    images, and the centers of one image are those of its own scan.
+    runs it on many images laid end to end, each followed by a gap of at
+    least the largest period scanned.  Each bit of a match or mirror mask
+    reads positions at most p before it, so a read past an image's start
+    lands in the gap, never in the image before: no bit mixes two images,
+    and the centers of one image are those of its own scan.
 
     Returns (center, delta, Repetition-in-branch-word) for the least period,
     then the least center, then the least delta; or None."""
@@ -322,7 +331,8 @@ def _chunks(items, length: int):
     """Consecutive runs of items, as many per list as fit in _PACK_BITS when
     each packs to 2 * length bits (at least one), so that memory does not
     grow with the number of items: a chunk holds its symbol masks and at
-    most `length` match masks, each of max(_PACK_BITS, length) bits at most."""
+    most `length` match masks, each of max(_PACK_BITS, length) bits at most.
+    (An item packs to fewer: its gap, `_gap`, is shorter than the item.)"""
     per = max(1, _PACK_BITS // (2 * length))
     it = iter(items)
     while chunk := list(islice(it, per)):
@@ -342,22 +352,33 @@ def _image_windows(m: Morphism, sources: list[str], d: int) -> set[str]:
     return set().union(*(factors(apply_morphism(m, u), d) for u in heads))
 
 
+def _gap(length: int, free_spec: PowerFreeSpec) -> int:
+    """The gap `_Packed` leaves after each certificate image of `length`
+    symbols: the longest period a pass asks for.  Freeness asks for periods
+    up to free_spec.max_period(length), the square and center passes only
+    for periods p with 2p <= length."""
+    return max(length // 2, free_spec.max_period(length))
+
+
 class _Packed:
     """Words of one length L laid end to end in one int mask per symbol,
-    each word followed by a gap of L positions that no mask sets: word j
-    occupies bits j*stride .. j*stride + L - 1, with stride = 2L.
+    each word followed by a gap of `gap` positions that no mask sets: word j
+    occupies bits j*stride .. j*stride + L - 1, with stride = L + gap.
 
-    Every period checked is at most L, so a match run or mirror pair never
-    crosses a gap (see `_scan_image_centers`), and one pass per period
-    answers a check for all words at once.  The class holds only this
-    packing: each check's caller runs the per-word check's own per-period
-    loop on a `_match_table` of `masks` and hands its hit masks to `first`,
-    which names the word of the lowest hit."""
+    The gap must be at least every period checked.  A mask bit lies only on
+    a symbol, and a match bit reads one position its period back: in its own
+    word or in the gap before it.  A match run is a row of adjacent match
+    bits, which the gap's unset bits cut, and the center scan's masks are
+    ANDs of such masks (see `_crossing_centers`).  So one pass per period
+    gives every word exactly the bits of its own check.  The class holds
+    only this packing: each check's caller runs the per-word check's own
+    per-period loop on a `_match_table` of `masks` and hands its hit masks
+    to `first`, which names the word of the lowest hit."""
 
-    def __init__(self, words: list[str]):
+    def __init__(self, words: list[str], gap: int):
         self.length = len(words[0])
-        self.stride = 2 * self.length
-        self.masks = _symbol_masks((" " * self.length).join(words), blank=" ")
+        self.stride = self.length + gap
+        self.masks = _symbol_masks("".join(words), self.length, gap)
 
     def first(self, hit_masks) -> int | None:
         """The index of the first word with a bit in any of hit_masks, or
@@ -440,8 +461,9 @@ _MAX_BETA_DENOMINATOR = 10_000
 _MAX_WIDTH = 10_000
 
 # the packed passes take about quadratic time in the image length factor_len *
-# width: on random binary tables (k 1, n 1, d 2, beta 19/10) 2.2 s and 174 MB at
-# 48 000 symbols, 3.1 s and 262 MB at 60 000, 5.8 s and 450 MB at 80 000 (2-core host)
+# width: on random binary tables (k 1, n 1, d 2, beta 19/10) 1.4-2.3 s and 174 MB
+# at 48 000 symbols, 2.0-3.2 s and 262 MB at 60 000, 3.8-5.7 s and 450 MB at
+# 80 000 (2-core shared host; an image this long packs alone, with no gap)
 _MAX_IMAGE_LEN = 50_000
 
 
@@ -544,6 +566,7 @@ def certify_morphic_tree_coloring(
     dir_factors: set[str] = set()
     source_words = 0
     length = factor_len * width
+    gap = _gap(length, free_spec)
     clean_hi = min(n - 1, length // 2)
     for chunk in _chunks(iter_powerfree_ternary(factor_len), length):
         source_words += len(chunk)
@@ -552,7 +575,7 @@ def certify_morphic_tree_coloring(
         if free_cx is not None and square_cx is not None and scan_cx is not None:
             continue
         imgs = [apply_morphism(m, src) for src in chunk]
-        packed = _Packed(imgs)
+        packed = _Packed(imgs, gap)
         eq = _match_table(packed.masks)  # shared by the three passes
         if free_cx is None:
             j = packed.first(ends for *_, ends in _violation_ends(eq, length, free_spec))

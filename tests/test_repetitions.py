@@ -177,6 +177,16 @@ def test_is_power_free_matches_slices_on_long_words(w, beta, min_period, strict)
     assert (None if r is None else (r.start, r.length, r.period)) == slice_power_violation(w, spec)
 
 
+@given(st.integers(1, 60).flatmap(lambda den: st.integers(den, 3 * den).map(lambda num: Fraction(num, den))),
+       st.booleans(), st.integers(0, 400))
+def test_max_period_is_the_largest_period_whose_violation_fits(beta, strict, n):
+    strict = strict or beta == 1
+    spec = PowerFreeSpec(beta, strict=strict)
+    fits = [p for p in range(1, n + 1) if spec.violation_length(p) <= n]
+    assert max(spec.max_period(n), 0) == max(fits, default=0)
+    assert spec.violation_length(spec.max_period(n) + 1) > n
+
+
 def test_is_power_free_examples():
     assert is_power_free(apply_morphism(G5, "0"), PowerFreeSpec(Fraction(83, 42), 5)) is None
     r = is_power_free("01010", PowerFreeSpec(Fraction(19, 10), 2))

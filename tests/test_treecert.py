@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from nonrep.words import (G2, G5, NAMED_MORPHISMS, Morphism, PowerFreeSpec, apply_morphism, factors,
                           generate_powerfree_ternary, iter_powerfree_ternary)
 from nonrep import repetitions, treecert
-from nonrep.repetitions import (Repetition, _match_mask, _match_table, _run_reaches, _violation_ends,
-                                 find_squares, is_power_free)
+from nonrep.repetitions import (Repetition, _match_mask, _match_table, _run_reaches, _symbol_masks,
+                                 _violation_ends, find_squares, is_power_free)
 from nonrep.treecert import (
     BranchCheckSpec,
     ConfigurationError,
@@ -26,6 +26,7 @@ from nonrep.treecert import (
     _chunks,
     _crossing_centers,
     _dynamic_periods,
+    _gap,
     _scan_image_centers,
     _image_windows,
     analyze_morphism_structure,
@@ -461,14 +462,15 @@ def scan_hits(periods):
                        for _, centers in _crossing_centers(eq, p))
 
 
-def packed_flags(words, hits_of):
-    """The indices of the words a packed pass flags, chunk by chunk, after
-    checking that no hit lies in a gap and that `first` names the least.
-    hits_of gives the per-period hit masks of one check on a packing."""
+def packed_flags(words, hits_of, gap):
+    """The indices of the words a packed pass flags, chunk by chunk with
+    `gap` positions after each word, after checking that no hit lies in a
+    gap and that `first` names the least.  hits_of gives the per-period hit
+    masks of one check on a packing."""
     flagged = []
     offset = 0
     for chunk in _chunks(words, len(words[0])):
-        packed = _Packed(chunk)
+        packed = _Packed(chunk, gap)
         hit_masks = list(hits_of(packed))
         hits = 0
         for h in hit_masks:
@@ -501,11 +503,12 @@ def test_packed_pass_flags_the_words_each_check_fails(words, beta, strict, n, lo
     lo = min(lo, length // 2)
     hi = min(lo + extra, length // 2)
     periods = list(range(lo, min(lo + extra, length) + 1))
+    gap = max(spec.max_period(length), hi, periods[-1])  # the longest period read
     bits = 2 * length * per_chunk or treecert._PACK_BITS
     with mock.patch.object(treecert, "_PACK_BITS", bits):
-        free = packed_flags(words, free_hits(spec))
-        squares = packed_flags(words, square_hits(lo, hi))
-        scan = packed_flags(words, scan_hits(periods))
+        free = packed_flags(words, free_hits(spec), gap)
+        squares = packed_flags(words, square_hits(lo, hi), gap)
+        scan = packed_flags(words, scan_hits(periods), gap)
     assert free == [i for i, w in enumerate(words) if is_power_free(w, spec) is not None]
     assert squares == [i for i, w in enumerate(words) if find_squares(w, lo, hi)]
     assert scan == [i for i, w in enumerate(words) if _scan_image_centers(w, periods) is not None]
@@ -524,12 +527,120 @@ def test_packed_pass_past_one_chunk_of_the_module_size():
     assert len(list(_chunks(words, 200))) == 2
     planted = list(range(3, 170, 10))
     spec = PowerFreeSpec(Fraction(83, 42), min_period=5)
-    assert packed_flags(words, free_hits(spec)) == planted
-    assert packed_flags(words, square_hits(5, 8)) == planted
+    gap = _gap(200, spec)
+    assert packed_flags(words, free_hits(spec), gap) == planted
+    assert packed_flags(words, square_hits(5, 8), gap) == planted
     periods = range(5, 30)
-    scan = packed_flags(words, scan_hits(periods))
+    scan = packed_flags(words, scan_hits(periods), gap)
     assert scan == [i for i, w in enumerate(words) if _scan_image_centers(w, periods) is not None]
     assert scan == planted
+
+
+# ---------------------------------------------------------------------------
+# the gap after each packed word: as wide as the longest period a pass reads
+
+
+def pass_hits(eq, length, spec, k):
+    """The nonzero hit masks of the certificate's three passes on the match
+    table eq of words of `length` symbols, keyed by pass and period (and
+    delta for the center scan), at the widest periods certify can ask for:
+    freeness under spec, squares and crossing squares of period k..length // 2."""
+    hi = length // 2
+    squares = PowerFreeSpec(Fraction(2), min_period=k, strict=False)
+    hits = {("free", p): ends for p, _, _, ends in _violation_ends(eq, length, spec)}
+    hits |= {("square", p): ends for p, _, _, ends in _violation_ends(eq, 2 * hi + 1, squares)}
+    hits |= {("scan", p, delta): centers
+             for p in range(k, hi + 1) for delta, centers in _crossing_centers(eq, p)}
+    return {key: h for key, h in hits.items() if h}
+
+
+def packed_word_hits(words, gap, spec, k):
+    """pass_hits on the packing of words with `gap`, cut into one dict per
+    word: each hit mask's bits in that word's stride, shifted down to 0."""
+    packed = _Packed(words, gap)
+    block = (1 << packed.stride) - 1
+    per_word = [{} for _ in words]
+    for key, h in pass_hits(_match_table(packed.masks), packed.length, spec, k).items():
+        assert h >> (len(words) * packed.stride) == 0
+        for j, mine in enumerate(per_word):
+            if bits := (h >> (j * packed.stride)) & block:
+                mine[key] = bits
+    return per_word
+
+
+def own_hits(w, spec, k):
+    return pass_hits(_match_table(_symbol_masks(w)), len(w), spec, k)
+
+
+@st.composite
+def packable_words(draw):
+    """1-6 words of one length in 2..48 over 2-4 symbols, each random or a
+    repeated block with a few symbols changed, so that every pass has hits."""
+    alphabet = draw(st.sampled_from(["01", "012", "0123"]))
+    length = draw(st.integers(2, 48))
+    words = []
+    for _ in range(draw(st.integers(1, 6))):
+        block = draw(st.text(alphabet, min_size=1, max_size=length))
+        w = list((block * length)[:length])
+        for i in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+            w[i] = draw(st.sampled_from(alphabet))
+        words.append("".join(w))
+    return words
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    packable_words(),
+    st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(7, 4), Fraction(19, 10), Fraction(83, 42)]),
+    st.booleans(),
+    st.integers(1, 8),
+    st.integers(1, 8),
+)
+def test_packed_hits_with_the_certificate_gap_are_each_words_own(words, beta, strict, n, k):
+    # every bit of every pass's hit masks, word by word, as the word's own
+    # masks give it, and the words those bits flag as its own checks do
+    length = len(words[0])
+    spec = PowerFreeSpec(beta, min_period=n, strict=strict or beta == 1)
+    hi = length // 2
+    squares = PowerFreeSpec(Fraction(2), min_period=k, strict=False)
+    per_word = packed_word_hits(words, _gap(length, spec), spec, k)
+    for w, mine in zip(words, per_word):
+        assert mine == own_hits(w, spec, k)
+        assert any(key[0] == "free" for key in mine) == (is_power_free(w, spec) is not None)
+        assert any(key[0] == "square" for key in mine) == (is_power_free(w, squares) is not None)
+        scanned = {key[1] for key in mine if key[0] == "scan"}
+        assert scanned == {p for p in range(k, hi + 1) if _scan_image_centers(w, [p]) is not None}
+
+
+def test_a_gap_one_short_of_the_longest_period_mixes_two_words():
+    # freeness at exponent 1 asks for period L - 1 = 3: with a gap of 2,
+    # the last symbol of the first word and the first of the second, both
+    # 3, lie 3 apart and flag the second word, which has no repeated symbol
+    words = ["0123", "3012"]
+    spec = PowerFreeSpec(Fraction(1), min_period=1, strict=True)
+    assert _gap(4, spec) == 3
+    assert packed_word_hits(words, 3, spec, 1) == [own_hits(w, spec, 1) for w in words] == [{}, {}]
+    assert packed_word_hits(words, 2, spec, 1) == [{}, {("free", 3): 1}]
+
+
+def naive_masks(words, gap):
+    """Each symbol's mask of the packing, one bit at a time."""
+    stride = len(words[0]) + gap
+    masks = {}
+    for j, w in enumerate(words):
+        for i, c in enumerate(w):
+            masks[c] = masks.get(c, 0) | 1 << (j * stride + i)
+    return masks
+
+
+@pytest.mark.parametrize("words", [
+    ["0101", "1010", "0120"],  # "2" only in the last word
+    ["0120"],
+    [apply_morphism(Morphism(("0123", "1302", "2031")), src) for src in iter_powerfree_ternary(4)],
+], ids=["last-word-symbol", "one-word", "four-symbols"])
+@pytest.mark.parametrize("gap", [0, 1, 5])
+def test_packed_masks_are_the_per_position_masks(words, gap):
+    assert sorted(_Packed(words, gap).masks) == sorted(naive_masks(words, gap).values())
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +692,11 @@ def palindromic_packings(draw):
             else:
                 w += half + draw(st.sampled_from(["", *alphabet])) + half[::-1]
         words.append(w[:length])
-    return _Packed(words).masks, length
+    return _Packed(words, length).masks, length  # periods up to L
 
 
 # palindromes, so every mirror pair of the last center agrees past p/2
-PALINDROMES = (_Packed(["0110110", "2011102", "0120210"]).masks, 7)
+PALINDROMES = (_Packed(["0110110", "2011102", "0120210"], 7).masks, 7)
 
 
 @settings(max_examples=200, deadline=None)
